@@ -6,7 +6,7 @@ all:
 	dune build
 
 verify:
-	dune build && dune runtest && $(MAKE) prove-rules && $(MAKE) fuzz-smoke && $(MAKE) fuzz-cache-smoke && $(MAKE) vexec-smoke && $(MAKE) bench-smoke && $(MAKE) bench-properties && $(MAKE) bench-cache && $(MAKE) cache-hammer && $(MAKE) recover-smoke
+	dune build && dune runtest && $(MAKE) prove-rules && $(MAKE) lint-smoke && $(MAKE) fuzz-smoke && $(MAKE) fuzz-cache-smoke && $(MAKE) vexec-smoke && $(MAKE) bench-smoke && $(MAKE) bench-properties && $(MAKE) bench-cache && $(MAKE) cache-hammer && $(MAKE) recover-smoke
 
 # bounded rule-soundness prover: every registered rewrite rule checked
 # for bag equivalence over all databases with <= 2 rows per table

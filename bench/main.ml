@@ -271,7 +271,7 @@ let e7 () =
            string_of_int r.rows ])
        prepared runs);
   let canons =
-    List.map (fun (_, p) -> Optimizer.Search.canonical p.Engine.plan) prepared
+    List.map (fun (_, p) -> Relalg.Fingerprint.of_op p.Engine.plan) prepared
   in
   let distinct = List.length (List.sort_uniq compare canons) in
   fmt "\ndistinct chosen plans among 4 formulations: %d (1-2 expected: the\n" distinct;

@@ -57,7 +57,7 @@ let () =
   let same = List.for_all (fun r -> r = List.hd all_rows) all_rows in
   Printf.printf "\nidentical results across formulations: %b\n" same;
   let canons =
-    List.map (fun (_, p, _) -> Optimizer.Search.canonical p.Engine.plan) results
+    List.map (fun (_, p, _) -> Relalg.Fingerprint.of_op p.Engine.plan) results
   in
   Printf.printf "distinct plans chosen: %d\n"
     (List.length (List.sort_uniq compare canons));

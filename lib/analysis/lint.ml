@@ -1,8 +1,9 @@
 (* Plan linter: a bottom-up static pass over final (optimized) plans.
 
-   Each check is a sound consequence of the derived properties in
-   [Relalg.Props] — when a finding fires, the reported fact is true of
-   the plan, not a heuristic guess.  Severities:
+   Each check is a sound consequence of the derived properties of
+   [Relalg.Fd] and the predicate analyses of [Relalg.Props] — when a
+   finding fires, the reported fact is true of the plan, not a
+   heuristic guess.  Severities:
 
    ERROR    the plan computes something statically nonsensical; the
             binder and the rewrite rules never produce it, so an ERROR
@@ -210,6 +211,9 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
   let add severity code node detail =
     findings := { severity; code; node; detail } :: !findings
   in
+  (* one property analysis per node, shared across the checks *)
+  let memo = Fd.create_memo () in
+  let analyze o = Fd.analyze ~env ~memo o in
   (* per-node checks, bottom-up *)
   let rec walk (o : op) =
     List.iter walk (Op.children o);
@@ -218,7 +222,7 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
        never execute successfully — today this arises exactly when a
        Max1row guard sits over an input proven to hold two or more rows,
        so the plan is statically guaranteed to raise *)
-    (let fd = Fd.analyze ~env o in
+    (let fd = analyze o in
      if Fd.contradiction fd then
        add Error "contradictory-interval" label
          (Printf.sprintf
@@ -239,7 +243,7 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
     let pred_checks pred inputs =
       let nonnull =
         List.fold_left
-          (fun acc i -> Col.Set.union acc (Props.nonnullable ~env i))
+          (fun acc i -> Col.Set.union acc (analyze i).nonnull)
           Col.Set.empty inputs
       in
       let consts =
@@ -284,13 +288,15 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
         add Warning "residual-segment-apply" label
           "SegmentApply survived although segmented execution is disabled"
     | _ -> ());
-    (* 5. GroupBy whose groups are provably singletons.  The FD-closure
-       derivation is strictly stronger than the old equivalence-class
-       expansion and also yields the proving chain for the diagnostic;
-       the Props path is kept as a belt-and-braces fallback. *)
+    (* 5. GroupBy whose groups are provably singletons: the grouping
+       columns determine a key of the input.  The FD-closure derivation
+       also yields the proving chain for the diagnostic; when it fails,
+       the grouping set is widened by the input's per-row equalities and
+       constants (which hold through an Apply's inner side, where [Fd]
+       keeps no dependencies) and tested again. *)
     (match o with
     | GroupBy { keys; input; _ } -> (
-        let fd = Fd.analyze ~env input in
+        let fd = analyze input in
         let kset = Col.Set.of_list keys in
         match Fd.cover_chain fd kset with
         | Some (unique, chain) ->
@@ -315,22 +321,19 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
             let covered =
               Col.Set.union (Props.equate classes kset) (Col.Set.of_list const_cols)
             in
-            if Props.covers_key ~env input covered then
+            if Fd.covers_key fd covered then
               add Warning "redundant-groupby" label
                 "grouping columns cover a key of the input: every group has exactly one row")
     | _ -> ());
     (* 6. Max1row over a provably single-row input *)
     match o with
     | Max1row i ->
-        let fd = Fd.analyze ~env i in
+        let fd = analyze i in
         if Fd.max_one fd then
           add Info "max1row-elidable" label
             (Printf.sprintf
                "input provably has at most one row (card %s); the guard can be elided"
                (Fd.interval_to_string fd.Fd.card))
-        else if Props.max_one_row ~env i then
-          add Info "max1row-elidable" label
-            "input provably has at most one row; the guard can be elided"
     | _ -> ()
   in
   walk plan;

@@ -1,5 +1,6 @@
 (** Plan linter: a static bottom-up pass over optimized plans, built on
-    the derived properties in {!Relalg.Props}.  Every finding is a sound
+    the derived properties of {!Relalg.Fd} and the predicate analyses of
+    {!Relalg.Props}.  Every finding is a sound
     consequence of the plan's structure, not a heuristic.
 
     Checks and severities:

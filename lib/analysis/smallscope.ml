@@ -593,7 +593,7 @@ let check_rule ?(k = 2) (cat : Catalog.t) (spec : rule_spec) : report =
           let seen = Hashtbl.create 4 in
           List.filter
             (fun a ->
-              let c = Optimizer.Search.canonical a in
+              let c = Fingerprint.of_op a in
               if Hashtbl.mem seen c then false
               else begin
                 Hashtbl.add seen c ();

@@ -31,7 +31,7 @@ let find_table t name = Hashtbl.find_opt t.tables name
 let table_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [] |> List.sort compare
 
-(* property environment for Relalg.Props *)
+(* property environment for Relalg.Fd *)
 let props_env (t : t) : Relalg.Props.env =
   { table_key =
       (fun name ->

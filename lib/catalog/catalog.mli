@@ -27,7 +27,8 @@ val add_table : t -> table -> unit
 val find_table : t -> string -> table option
 val table_names : t -> string list
 
-(** Property environment handing base-table keys to {!Relalg.Props}. *)
+(** Property environment handing base-table keys and nullability to
+    {!Relalg.Fd}. *)
 val props_env : t -> Relalg.Props.env
 
 val column_ty : table -> string -> Relalg.Value.ty option

@@ -545,7 +545,7 @@ let plan_batch_cse (c : caches) (t : t) (preps : prepared list) :
       | Algebra.CseScan _ ->
           o
       | _ -> (
-          let fp = Cache.Cse.fingerprint o in
+          let fp = Fingerprint.of_op o in
           match Hashtbl.find_opt chosen fp with
           | Some (sub, cost, rows_hint) ->
               let id, rows_hint =

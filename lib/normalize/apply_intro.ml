@@ -27,7 +27,7 @@ let fresh_agg name fn = { fn; out = Col.fresh name Value.TFloat }
 
 (* Wrap a scalar subquery body in Max1row unless provably <= 1 row. *)
 let guard_max1row env (q : op) : op =
-  if Props.max_one_row ~env q then q else Max1row q
+  if Fd.max_one (Fd.analyze ~env q) then q else Max1row q
 
 let single_output_col (q : op) : Col.t =
   match Op.schema q with
@@ -85,7 +85,7 @@ let case_needs_conditional_execution env (e : expr) : bool =
      rewrite through counts, which never raise) *)
   let rec visit e =
     match e with
-    | Subquery q -> if not (Props.max_one_row ~env q) then raise Found
+    | Subquery q -> if not (Fd.max_one (Fd.analyze ~env q)) then raise Found
     | Exists q | InSub (_, q) | QuantCmp (_, _, _, q) -> ignore q
     | Arith (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
         visit a;

@@ -51,14 +51,14 @@ let contains_apply o =
 
 (* Ensure R exposes a key; manufacture one with Rownum if needed. *)
 let with_key cfg (r : op) : op =
-  if Props.has_key ~env:cfg.env r then r
+  if Fd.covers_key (Fd.analyze ~env:cfg.env r) (Op.schema_set r) then r
   else Rownum { out = Col.fresh "rn" Value.TInt; input = r }
 
 (* Rewrite aggregates for identity (9): valid when agg(empty) =
    agg({null}), i.e. everything except count; counts become counts of a
    non-nullable column of E so that outerjoin padding yields 0. *)
 let adjust_aggs_for_loj ~(env : Props.env) (aggs : agg list) (e : op) : agg list option =
-  let nn = Col.Set.inter (Props.nonnullable ~env e) (Op.schema_set e) in
+  let nn = Col.Set.inter (Fd.analyze ~env e).nonnull (Op.schema_set e) in
   let probe = Col.Set.choose_opt nn in
   let ecols = Op.schema_set e in
   (* NULL-padding nulls exactly E's columns; the aggregate input must go
@@ -121,7 +121,7 @@ and push cfg kind pred (r : op) (e : op) : op =
     | ScalarAgg { aggs; input } -> push_scalar_agg cfg kind pred r aggs input
     | GroupBy { keys; aggs; input } when kind = Inner ->
         push_vector_groupby cfg pred r keys aggs input
-    | Max1row e1 when Props.max_one_row ~env:cfg.env e1 ->
+    | Max1row e1 when Fd.max_one (Fd.analyze ~env:cfg.env e1) ->
         (* the compiler detects a single row from keys: elide Max1row *)
         push cfg kind pred r e1
     | Join { kind = jk; pred = q; left = e1; right = e2 } when kind = Inner ->
@@ -220,7 +220,7 @@ and push_project cfg kind pred r projs e1 =
         (* non-strict projection above a decorrelatable tree: guard each
            expression with a match indicator from a non-nullable inner
            column so padding still yields NULL *)
-        match Col.Set.choose_opt (Props.nonnullable ~env:cfg.env e1) with
+        match Col.Set.choose_opt (Fd.analyze ~env:cfg.env e1).nonnull with
         | Some probe when Col.Set.mem probe (Op.schema_set e1) ->
             let inner = push cfg LeftOuter pred' r e1 in
             let pass = List.map (fun c -> { expr = ColRef c; out = c }) (Op.schema r) in
@@ -390,7 +390,7 @@ and push_inner_join cfg pred r jk q e1 e2 =
         (* identity (7): both sides correlated — duplicate R on a key *)
         let r' = with_key cfg r in
         let key =
-          match Props.keys ~env:cfg.env r' with
+          match Fd.derived_keys (Fd.analyze ~env:cfg.env r') ~schema:(Op.schema r') with
           | k :: _ -> Col.Set.elements k
           | [] ->
               internal "identity (7): with_key produced a keyless outer:\n%s"
@@ -470,7 +470,7 @@ and push_semi_anti_generic cfg kind pred r e =
      which needs no padding and therefore composes with identity (8). *)
   let count_route () =
     match
-      Col.Set.choose_opt (Col.Set.inter (Props.nonnullable ~env:cfg.env e) (Op.schema_set e))
+      Col.Set.choose_opt (Col.Set.inter (Fd.analyze ~env:cfg.env e).nonnull (Op.schema_set e))
     with
     | None -> None
     | Some probe ->

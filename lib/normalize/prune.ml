@@ -87,7 +87,7 @@ and prune_group ~env required keys (aggs : agg list) input =
   let needed = List.filter (fun k -> Col.Set.mem k required) keys in
   (* a grouping column may be dropped when the kept columns functionally
      determine it — the groups are then exactly the same *)
-  let closure = Props.fd_closure ~env input (Col.Set.of_list needed) in
+  let closure = Fd.closure (Fd.analyze ~env input) (Col.Set.of_list needed) in
   let keys' =
     needed
     @ List.filter

@@ -8,8 +8,9 @@
    paper's system uses, preserving its essential structure (orthogonal
    local rules + cost-based choice among all derivable trees).
 
-   Deduplication canonicalizes column ids (rules mint fresh ids on each
-   firing, so textual identity would never fire). *)
+   Deduplication keys on the structural fingerprint
+   ([Relalg.Fingerprint]), which renumbers column ids (rules mint fresh
+   ids on each firing, so textual identity would never fire). *)
 
 open Relalg
 open Relalg.Algebra
@@ -60,48 +61,6 @@ let rules_for (cfg : Config.t) ~(env : Props.env) ~(cat : Catalog.t) : rule list
          ]
        else [])
     ]
-
-(* id-insensitive canonical form: renumber #ids by first occurrence in
-   the printed tree *)
-let canonical (o : op) : string =
-  let s = Pp.to_string o in
-  let buf = Buffer.create (String.length s) in
-  let map = Hashtbl.create 64 in
-  let next = ref 0 in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '#' then begin
-      let j = ref (!i + 1) in
-      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      if !j > !i + 1 then begin
-        let id = String.sub s (!i + 1) (!j - !i - 1) in
-        let canon =
-          match Hashtbl.find_opt map id with
-          | Some c -> c
-          | None ->
-              incr next;
-              let c = string_of_int !next in
-              Hashtbl.replace map id c;
-              c
-        in
-        Buffer.add_char buf '#';
-        Buffer.add_string buf canon;
-        i := !j
-      end
-      else begin
-        Buffer.add_char buf '#';
-        incr i
-      end
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
 
 (* One rule firing: the matched subtree, what the rule turned it into,
    and the whole rebuilt tree.  The verifier needs the site pair (to
@@ -274,7 +233,7 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
   let best_cost = ref infinity in
   let add t =
     let t = Normalize.Simplify.cleanup t in
-    let key = canonical t in
+    let key = Fingerprint.of_op t in
     if Hashtbl.mem seen key then None
     else begin
       Hashtbl.replace seen key ();

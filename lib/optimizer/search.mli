@@ -13,11 +13,6 @@ type rule = { name : string; apply : op -> op list }
 (** The rule set enabled by a configuration. *)
 val rules_for : Config.t -> env:Props.env -> cat:Catalog.t -> rule list
 
-(** Id-insensitive canonical rendering: column ids renumbered by first
-    occurrence.  Two trees equal up to column identity share a
-    canonical form. *)
-val canonical : op -> string
-
 (** Fire a rule at every node, returning one whole tree per firing. *)
 val apply_everywhere : rule -> op -> op list
 

@@ -210,6 +210,24 @@ let finish (t : t) : t =
 
 (* --- per-predicate facts ---------------------------------------------- *)
 
+(* The columns of [inside] that an equality [l = r] pins to a value
+   constant over rows: a column reference on one side whose other side
+   is subquery-free and reads no column of [bound].  Both orientations
+   are tried — an or-pattern would bind only the first alternative that
+   matches, so [outer = key] would never pin [key]. *)
+let eq_pins ~(inside : Col.Set.t) ~(bound : Col.Set.t) (l : expr) (r : expr) :
+    Col.t list =
+  List.filter_map
+    (fun (side, other) ->
+      match side with
+      | ColRef a
+        when Col.Set.mem a inside
+             && (not (Expr.has_subquery other))
+             && Col.Set.disjoint (Expr.cols other) bound ->
+          Some a
+      | _ -> None)
+    [ (l, r); (r, l) ]
+
 (* FDs contributed by an equality conjunct evaluated over rows with
    schema [sch]: col = col gives a mutual dependency, col = expr whose
    columns all come from outside [sch] (a literal or a correlation
@@ -222,13 +240,10 @@ let pred_fds (sch : Col.Set.t) (conjs : expr list) : fd list =
           [ { det = Col.Set.singleton a; dep = Col.Set.singleton b };
             { det = Col.Set.singleton b; dep = Col.Set.singleton a }
           ]
-      | Cmp (Eq, ColRef a, e) | Cmp (Eq, e, ColRef a) ->
-          if
-            Col.Set.mem a sch
-            && (not (Expr.has_subquery e))
-            && Col.Set.is_empty (Col.Set.inter (Expr.cols e) sch)
-          then [ { det = Col.Set.empty; dep = Col.Set.singleton a } ]
-          else []
+      | Cmp (Eq, l, r) ->
+          List.map
+            (fun a -> { det = Col.Set.empty; dep = Col.Set.singleton a })
+            (eq_pins ~inside:sch ~bound:sch l r)
       | _ -> [])
     conjs
 
@@ -244,13 +259,9 @@ let pinned_right (lset : Col.Set.t) (rset : Col.Set.t) (conjs : expr list) :
           Col.Set.add a acc
       | Cmp (Eq, ColRef b, ColRef a) when Col.Set.mem a rset && Col.Set.mem b lset ->
           Col.Set.add a acc
-      | Cmp (Eq, ColRef a, e) | Cmp (Eq, e, ColRef a) ->
-          if
-            Col.Set.mem a rset
-            && (not (Expr.has_subquery e))
-            && Col.Set.is_empty (Col.Set.inter (Expr.cols e) (Col.Set.union lset rset))
-          then Col.Set.add a acc
-          else acc
+      | Cmp (Eq, l, r) ->
+          List.fold_left (fun acc a -> Col.Set.add a acc) acc
+            (eq_pins ~inside:rset ~bound:(Col.Set.union lset rset) l r)
       | _ -> acc)
     Col.Set.empty conjs
 

@@ -2,7 +2,9 @@
 
     Bottom-up inference of functional dependencies (with transitive
     closure), derived candidate keys, non-nullable columns, and
-    per-node cardinality intervals over an operator tree.  All facts
+    per-node cardinality intervals over an operator tree.  It is the
+    only engine for these facts: every consumer of keys,
+    non-nullability, at-most-one-row or FD closure asks it.  All facts
     are sound under-approximations in the grouping sense of equality
     (NULL ≡ NULL), the notion the executor's hash tables use — so
     every inferred property can be asserted against an actual result
@@ -40,7 +42,8 @@ val analyze : ?env:Props.env -> ?memo:memo -> op -> t
 val closure : t -> Col.Set.t -> Col.Set.t
 
 (** Is [cols] a derived key — does its FD closure cover some
-    uniqueness fact?  Strictly stronger than {!Props.covers_key}. *)
+    uniqueness fact?  [cols] need not contain a key: a set that
+    determines one suffices. *)
 val covers_key : t -> Col.Set.t -> bool
 
 (** The uniqueness fact covered by [cols] plus the FD chain proving

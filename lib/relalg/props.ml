@@ -1,20 +1,17 @@
-(* Derived logical properties.
+(* Catalog environment and predicate analyses.
 
-   [keys]          candidate keys of an operator's output (sets of columns);
-                   identities (7)-(9) and GroupBy pull-up require them.
-   [max_one_row]   proof that an expression returns at most one row per
-                   invocation; lets the compiler elide Max1row (paper
-                   Section 2.4: "the compiler can detect this from
-                   information about keys").
-   [nonnullable]   output columns that are never NULL; needed to rewrite
-                   count-star into count-of-column in identity (9) and to
-                   build the compensating project of Section 3.2.
+   [env]             base-table keys and nullability, as the catalog
+                     declares them.
+   [equiv_classes]   columns pairwise equal on every output row.
+   [const_bindings]  columns bound to one non-NULL constant.
+   [pred_verdict]    is a filter predicate a contradiction or a
+                     tautology?
 
-   All properties are sound under-approximations. *)
+   Keys, non-nullability, at-most-one-row and FD closure live in [Fd],
+   the one engine for those facts.  All analyses here are sound
+   under-approximations. *)
 
 open Algebra
-
-type key = Col.Set.t
 
 (* base-table keys and nullability are supplied by the environment
    (catalog); trees carry them in the TableScan's column list via these
@@ -28,218 +25,6 @@ type env = {
 
 let default_env = { table_key = (fun _ -> []); table_nullable = (fun _ -> []) }
 
-let rec keys ?(env = default_env) (o : op) : key list =
-  let keys = keys ~env in
-  match o with
-  (* a CSE materialization can be refreshed between reads; claim
-     nothing about it *)
-  | CseScan _ -> []
-  | TableScan { table; cols } -> (
-      let names = env.table_key table in
-      match names with
-      | [] -> []
-      | _ ->
-          let find n = List.find_opt (fun c -> c.Col.name = n) cols in
-          let cs = List.filter_map find names in
-          if List.length cs = List.length names then [ Col.Set.of_list cs ] else [])
-  | ConstTable { rows; cols } ->
-      if List.length rows <= 1 then [ Col.Set.of_list cols ] else []
-  | SegmentHole _ -> []
-  | Select (_, i) | Max1row i -> keys i
-  | Project (projs, i) ->
-      (* a key survives projection if every key column is passed through *)
-      let passed =
-        List.filter_map
-          (fun p -> match p.expr with ColRef c -> Some (c, p.out) | _ -> None)
-          projs
-      in
-      let translate k =
-        let rec go acc = function
-          | [] -> Some acc
-          | c :: rest -> (
-              match List.find_opt (fun (src, _) -> Col.equal src c) passed with
-              | Some (_, out) -> go (Col.Set.add out acc) rest
-              | None -> None)
-        in
-        go Col.Set.empty (Col.Set.elements k)
-      in
-      List.filter_map translate (keys i)
-  | Join { kind; left; right; _ } | Apply { kind; left; right; _ } -> (
-      match kind with
-      | Semi | Anti -> keys left
-      | Inner | LeftOuter ->
-          (* key(l) x key(r) is a key of the combined output *)
-          List.concat_map
-            (fun kl -> List.map (fun kr -> Col.Set.union kl kr) (keys right))
-            (keys left))
-  | SegmentApply { outer; inner; _ } ->
-      List.concat_map
-        (fun kl -> List.map (fun kr -> Col.Set.union kl kr) (keys inner))
-        (keys outer)
-  | GroupBy { keys = gk; _ } | LocalGroupBy { keys = gk; _ } ->
-      (* the grouping columns are a key of the (global) GroupBy output;
-         NOT of a LocalGroupBy pushed below with extended columns — but
-         for LocalGroupBy the grouping cols are still a key of its own
-         output since it emits one row per distinct grouping value *)
-      [ Col.Set.of_list gk ]
-  | ScalarAgg { aggs; _ } -> [ Col.Set.of_list (List.map (fun (a : agg) -> a.out) aggs) ]
-  | UnionAll _ -> []
-  | Except (l, _) -> keys l
-  | Rownum { out; _ } -> [ Col.Set.singleton out ]
-
-let has_key ?env o = keys ?env o <> []
-
-(* Is [cols] a superset of some key of [o]? *)
-let covers_key ?env (o : op) (cols : Col.Set.t) =
-  List.exists (fun k -> Col.Set.subset k cols) (keys ?env o)
-
-(* ------------------------------------------------------------------ *)
-
-(* Functional-dependency closure of a column set within an operator
-   tree: base-table keys determine all columns of the same scan, and
-   grouping columns determine aggregate outputs.  Used by column
-   pruning to drop grouping columns that are determined by the kept
-   ones. *)
-let fd_closure ?(env = default_env) (o : op) (seed : Col.Set.t) : Col.Set.t =
-  (* collect (determinant, determined) pairs *)
-  let deps = ref [] in
-  let rec walk o =
-    (match o with
-    | TableScan { table; cols } -> (
-        let names = env.table_key table in
-        let find n = List.find_opt (fun c -> c.Col.name = n) cols in
-        match List.filter_map find names with
-        | [] -> ()
-        | key when List.length key = List.length names && names <> [] ->
-            deps := (Col.Set.of_list key, Col.Set.of_list cols) :: !deps
-        | _ -> ())
-    | GroupBy { keys; aggs; _ } | LocalGroupBy { keys; aggs; _ } ->
-        deps :=
-          (Col.Set.of_list keys, Col.Set.of_list (List.map (fun (a : agg) -> a.out) aggs))
-          :: !deps
-    | Project (projs, _) ->
-        List.iter
-          (fun p ->
-            match p.expr with
-            | ColRef c -> deps := (Col.Set.singleton c, Col.Set.singleton p.out) :: !deps
-            | _ -> ())
-          projs
-    | _ -> ());
-    List.iter walk (Op.children o)
-  in
-  walk o;
-  let rec fix s =
-    let s' =
-      List.fold_left
-        (fun acc (det, dep) -> if Col.Set.subset det acc then Col.Set.union acc dep else acc)
-        s !deps
-    in
-    if Col.Set.equal s s' then s else fix s'
-  in
-  fix seed
-
-let rec max_one_row ?(env = default_env) (o : op) : bool =
-  let m1 = max_one_row ~env in
-  match o with
-  | ScalarAgg _ | Max1row _ -> true
-  | CseScan _ -> false
-  | ConstTable { rows; _ } -> List.length rows <= 1
-  | Select (p, i) ->
-      m1 i
-      ||
-      (* equality on a full key with values constant w.r.t. the input
-         (outer references or literals) pins at most one row *)
-      let eq_cols =
-        List.fold_left
-          (fun acc c ->
-            match c with
-            | Cmp (Eq, ColRef col, rhs) when Col.Set.is_empty (Col.Set.inter (Expr.cols rhs) (Op.schema_set i)) ->
-                Col.Set.add col acc
-            | Cmp (Eq, lhs, ColRef col) when Col.Set.is_empty (Col.Set.inter (Expr.cols lhs) (Op.schema_set i)) ->
-                Col.Set.add col acc
-            | _ -> acc)
-          Col.Set.empty (conjuncts p)
-      in
-      covers_key ~env i eq_cols
-  | Project (_, i) | Rownum { input = i; _ } -> m1 i
-  | GroupBy { input; _ } | LocalGroupBy { input; _ } -> m1 input
-  | Join { kind = Semi | Anti; left; _ } | Apply { kind = Semi | Anti; left; _ } ->
-      m1 left
-  | Join { left; right; _ } -> m1 left && m1 right
-  | Apply { left; right; _ } -> m1 left && m1 right
-  | SegmentApply _ | UnionAll _ | TableScan _ | SegmentHole _ -> false
-  | Except (l, _) -> m1 l
-
-(* ------------------------------------------------------------------ *)
-
-(* Output columns guaranteed non-NULL.  Base-table nullability comes
-   from the catalog via [env.table_nullable]; the default env declares
-   every base column NOT NULL (matching this engine's TPC-H data).
-   NULLs are otherwise introduced by outerjoins, aggregates and scalar
-   expressions. *)
-let rec nonnullable ?(env = default_env) (o : op) : Col.Set.t =
-  let nonnullable o = nonnullable ~env o in
-  match o with
-  | CseScan _ -> Col.Set.empty
-  | TableScan { table; cols } ->
-      let nullable = env.table_nullable table in
-      Col.Set.of_list
-        (List.filter (fun (c : Col.t) -> not (List.mem c.name nullable)) cols)
-  | ConstTable { cols; rows } ->
-      List.fold_left
-        (fun acc (i, c) ->
-          if List.for_all (fun r -> not (Value.is_null r.(i))) rows then
-            Col.Set.add c acc
-          else acc)
-        Col.Set.empty
-        (List.mapi (fun i c -> (i, c)) cols)
-  | SegmentHole { cols; _ } -> Col.Set.of_list cols
-  | Select (_, i) | Max1row i -> nonnullable i
-  | Project (projs, i) ->
-      let below = nonnullable i in
-      List.fold_left
-        (fun acc p ->
-          match p.expr with
-          | ColRef c when Col.Set.mem c below -> Col.Set.add p.out acc
-          | Const v when not (Value.is_null v) -> Col.Set.add p.out acc
-          | _ -> acc)
-        Col.Set.empty projs
-  | Join { kind; left; right; _ } | Apply { kind; left; right; _ } -> (
-      match kind with
-      | Semi | Anti -> nonnullable left
-      | Inner -> Col.Set.union (nonnullable left) (nonnullable right)
-      | LeftOuter -> nonnullable left)
-  | SegmentApply { outer; inner; _ } ->
-      Col.Set.union (nonnullable outer) (nonnullable inner)
-  | GroupBy { keys; aggs; input } | LocalGroupBy { keys; aggs; input } ->
-      let below = nonnullable input in
-      let keys_nn = List.filter (fun c -> Col.Set.mem c below) keys in
-      let aggs_nn =
-        List.filter_map
-          (fun a ->
-            match a.fn with
-            | CountStar | Count _ -> Some a.out
-            | Sum e | Min e | Max e | Avg e -> (
-                (* non-null if the input expression is a non-nullable
-                   column (groups are non-empty in vector aggregation) *)
-                match e with
-                | ColRef c when Col.Set.mem c below -> Some a.out
-                | Const v when not (Value.is_null v) -> Some a.out
-                | _ -> None))
-          aggs
-      in
-      Col.Set.union (Col.Set.of_list keys_nn) (Col.Set.of_list aggs_nn)
-  | ScalarAgg { aggs; _ } ->
-      (* scalar aggregation over a possibly-empty input: only counts are
-         guaranteed non-null *)
-      List.fold_left
-        (fun acc a ->
-          match a.fn with CountStar | Count _ -> Col.Set.add a.out acc | _ -> acc)
-        Col.Set.empty aggs
-  | UnionAll (l, r) -> Col.Set.inter (nonnullable l) (nonnullable r)
-  | Except (l, _) -> nonnullable l
-  | Rownum { out; input } -> Col.Set.add out (nonnullable input)
-
 (* ------------------------------------------------------------------ *)
 
 (* Column equivalence classes: sets of columns that are pairwise equal
@@ -248,8 +33,8 @@ let rec nonnullable ?(env = default_env) (o : op) : Col.Set.t =
    predicates and from pass-through projections; pairs established
    below an operator keep holding above it (columns that leave the
    schema make the claim vacuous there).  The grouping notion matches
-   [keys]/[covers_key], whose uniqueness is also up to NULL-equality,
-   so the classes can soundly extend a grouping set for key-coverage
+   [Fd.covers_key], whose uniqueness is also up to NULL-equality, so
+   the classes can soundly extend a grouping set for key-coverage
    tests. *)
 
 let pred_eq_pairs (p : expr) : (Col.t * Col.t) list =

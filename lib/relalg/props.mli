@@ -1,13 +1,13 @@
-(** Derived logical properties — sound under-approximations.
+(** Catalog environment and predicate analyses — sound
+    under-approximations.
 
-    These drive the paper's preconditions: identities (7)-(9) need keys,
-    identity (9) and the Section 3.2 compensation need non-nullability,
-    Max1row elision needs cardinality bounds, and column pruning needs
-    functional dependencies. *)
+    Keys, non-nullable columns, at-most-one-row and FD closure — the
+    facts behind identities (7)-(9), the Section 3.2 compensation,
+    Max1row elision and column pruning — are derived by {!Fd} alone.
+    This module keeps what {!Fd} builds on: the catalog [env] and the
+    predicate analyses (verdicts, equalities, constant bindings). *)
 
 open Algebra
-
-type key = Col.Set.t
 
 (** Base-table keys and nullability come from the environment
     (catalog).  [table_nullable] lists the columns that may contain
@@ -19,35 +19,11 @@ type env = {
 
 val default_env : env
 
-(** Candidate keys of the operator's output. *)
-val keys : ?env:env -> op -> key list
-
-val has_key : ?env:env -> op -> bool
-
-(** Is [cols] a superset of some key of the output? *)
-val covers_key : ?env:env -> op -> Col.Set.t -> bool
-
-(** Functional-dependency closure of a column set within the tree:
-    base-table keys determine all columns of their scan, grouping
-    columns determine aggregate outputs, pass-through projections
-    propagate. *)
-val fd_closure : ?env:env -> op -> Col.Set.t -> Col.Set.t
-
-(** Provably at most one output row per invocation (the paper's
-    "compiler can detect this from information about keys", used to
-    elide Max1row). *)
-val max_one_row : ?env:env -> op -> bool
-
-(** Output columns guaranteed non-NULL.  [env] supplies catalog NOT
-    NULL declarations for base tables; without it every base column is
-    assumed NOT NULL. *)
-val nonnullable : ?env:env -> op -> Col.Set.t
-
 (** Column equivalence classes (size ≥ 2): columns pairwise equal on
     every output row in the grouping sense (NULL ≡ NULL), sourced from
     inner-join/select equality conjuncts and pass-through projections.
-    The grouping notion matches {!covers_key}, so a class may soundly
-    extend a grouping set for key-coverage tests. *)
+    The grouping notion matches [Fd.covers_key], so a class may
+    soundly extend a grouping set for key-coverage tests. *)
 val equiv_classes : op -> Col.Set.t list
 
 (** Extend a column set with every column equivalent to a member. *)

@@ -373,13 +373,8 @@ let recheck_push_conditions ~env node keys (aggs : agg list) pred s r pushed_key
                (cols_str [ k ]))
       end)
     pk;
-  (let scover = Col.Set.inter a scols in
-   if
-     not
-       (Props.covers_key ~env s scover
-       || Fd.covers_key (Fd.analyze ~env s) scover)
-   then
-     fail "push condition 2: grouping columns do not cover a key of the kept side");
+  if not (Fd.covers_key (Fd.analyze ~env s) (Col.Set.inter a scols)) then
+    fail "push condition 2: grouping columns do not cover a key of the kept side";
   if not (agg_inputs_within aggs rcols) then
     fail "push condition 3: an aggregate input uses columns outside the aggregated side";
   List.rev !bad
@@ -414,7 +409,7 @@ let check_rewrite ~(env : Props.env) ~(rule : string) ~(before : op) ~(after : o
           (* Section 3.2: aggregates whose value on the padded row is
              not NULL (counts) need a compensating CASE guarded by a
              non-nullable pushed grouping column *)
-          let nn = Props.nonnullable ~env r in
+          let nn = (Fd.analyze ~env r).nonnull in
           let compensation_ok (orig : agg) =
             match orig.fn with
             | Sum _ | Min _ | Max _ | Avg _ -> true
@@ -460,7 +455,7 @@ let check_rewrite ~(env : Props.env) ~(rule : string) ~(before : op) ~(after : o
                 node = after
               }
               :: !bad;
-          if not (Props.has_key ~env s) then
+          if not (Fd.covers_key (Fd.analyze ~env s) (Op.schema_set s)) then
             bad :=
               { kind = Unsound_rewrite "pull: the non-aggregated side exposes no key";
                 node = after

@@ -41,6 +41,8 @@ let pred_uses_agg_outputs pred (aggs : agg list) =
   let outs = Col.Set.of_list (List.map (fun (a : agg) -> a.out) aggs) in
   not (Col.Set.is_empty (Col.Set.inter (Expr.cols pred) outs))
 
+let has_key ~env o = Fd.covers_key (Fd.analyze ~env o) (Op.schema_set o)
+
 let project_restore (cols : Col.t list) (o : op) : op =
   Project (List.map (fun c -> { expr = ColRef c; out = c }) cols, o)
 
@@ -52,11 +54,11 @@ let project_restore (cols : Col.t list) (o : op) : op =
 let pull_above_join ~(env : env) (o : op) : op option =
   match o with
   | Join { kind = Inner; pred; left = s; right = GroupBy { keys; aggs; input = r } }
-    when (not (pred_uses_agg_outputs pred aggs)) && Props.has_key ~env s ->
+    when (not (pred_uses_agg_outputs pred aggs)) && has_key ~env s ->
       let g = GroupBy { keys = keys @ Op.schema s; aggs; input = Join { kind = Inner; pred; left = s; right = r } } in
       Some (project_restore (Op.schema o) g)
   | Join { kind = Inner; pred; left = GroupBy { keys; aggs; input = r }; right = s }
-    when (not (pred_uses_agg_outputs pred aggs)) && Props.has_key ~env s ->
+    when (not (pred_uses_agg_outputs pred aggs)) && has_key ~env s ->
       let g = GroupBy { keys = keys @ Op.schema s; aggs; input = Join { kind = Inner; pred; left = r; right = s } } in
       Some (project_restore (Op.schema o) g)
   | _ -> None
@@ -95,12 +97,9 @@ let push_below_join_keys ~env keys (aggs : agg list) pred s r : Col.t list optio
   in
   if
     List.for_all conj_ok (conjuncts pred)
-    (* 2: the S-side grouping columns cover a key of S — first the
-       direct superset test, then the strictly stronger FD-closure
-       derivation (a grouping set that *determines* a key suffices) *)
-    && (let scover = Col.Set.inter a scols in
-        Props.covers_key ~env s scover
-        || Fd.covers_key (Fd.analyze ~env s) scover)
+    (* 2: the S-side grouping columns determine a key of S (through
+       the FD closure, so a superset of a key is not required) *)
+    && Fd.covers_key (Fd.analyze ~env s) (Col.Set.inter a scols)
     (* 3 *)
     && agg_uses_only aggs rcols
     && Col.Set.subset a (Col.Set.union rcols scols)
@@ -137,7 +136,7 @@ let push_below_outerjoin ~(env : env) (o : op) : op option =
       let rkeys = Option.get (push_below_join_keys ~env keys aggs pred s r) in
       (* need a non-nullable match detector among the pushed grouping
          columns *)
-      let nn = Props.nonnullable ~env r in
+      let nn = (Fd.analyze ~env r).nonnull in
       (match List.find_opt (fun c -> Col.Set.mem c nn) rkeys with
       | None -> None
       | Some match_col ->

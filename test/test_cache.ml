@@ -260,10 +260,10 @@ let test_cse_fingerprint_alpha_equivalence () =
   (* two separately bound plans of the same text differ in column ids
      but must share a fingerprint *)
   let sql = "select dept, sum(salary) from emp group by dept" in
-  let fa = Cache.Cse.fingerprint (plan_of eng sql) in
-  let fb = Cache.Cse.fingerprint (plan_of eng sql) in
+  let fa = Relalg.Fingerprint.of_op (plan_of eng sql) in
+  let fb = Relalg.Fingerprint.of_op (plan_of eng sql) in
   Alcotest.(check string) "alpha-equivalent plans share a fingerprint" fa fb;
-  let fc = Cache.Cse.fingerprint (plan_of eng "select dept, sum(eid) from emp group by dept") in
+  let fc = Relalg.Fingerprint.of_op (plan_of eng "select dept, sum(eid) from emp group by dept") in
   Alcotest.(check bool) "different aggregate, different fingerprint" true (fa <> fc)
 
 let test_cse_candidates_closed_only () =

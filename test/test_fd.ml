@@ -70,6 +70,27 @@ let test_select_const_on_key () =
   check "equality on the key pins at most one row" true (Fd.max_one t);
   check "no contradiction" false (Fd.contradiction t)
 
+(* --- equality orientation ------------------------------------------------ *)
+
+(* a correlation parameter equated to the key pins at most one row,
+   whichever side of the [=] it is written on *)
+let test_select_param_orientation () =
+  let o = Col.fresh "outer" Value.TInt in
+  List.iter
+    (fun (label, p) -> check label true (Fd.max_one (analyze (Select (p, scan_s)))))
+    [ ("key = outer", eq sa o); ("outer = key", eq o sa) ]
+
+(* a join predicate pinning the right key to a correlation parameter:
+   each left row matches at most one right row, so the left key stays a
+   key of the join, in either orientation *)
+let test_join_param_orientation () =
+  let o = Col.fresh "outer" Value.TInt in
+  List.iter
+    (fun (label, p) ->
+      let t = analyze (Join { kind = Inner; pred = p; left = scan_s; right = scan_r }) in
+      check label true (Fd.covers_key t (s1 sa)))
+    [ ("rc = outer", eq rc o); ("outer = rc", eq o rc) ]
+
 (* --- LeftOuter padding -------------------------------------------------- *)
 
 let test_leftouter_nulls_right () =
@@ -266,6 +287,8 @@ let suite =
     Alcotest.test_case "select equality extends the closure" `Quick
       test_select_equality_closure;
     Alcotest.test_case "constant on a key pins one row" `Quick test_select_const_on_key;
+    Alcotest.test_case "select equality orientation" `Quick test_select_param_orientation;
+    Alcotest.test_case "join equality orientation" `Quick test_join_param_orientation;
     Alcotest.test_case "leftouter NULLs the right side" `Quick test_leftouter_nulls_right;
     Alcotest.test_case "leftouter with pinned right key" `Quick test_leftouter_pinned_key;
     Alcotest.test_case "leftouter with nullable right key" `Quick

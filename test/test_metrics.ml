@@ -227,8 +227,8 @@ let tpch = lazy (Datagen.Tpch_gen.database ~seed:42 ~sf:0.01 ())
 
 (* Column ids come from a process-global counter, so their absolute
    values depend on which tests ran earlier in the binary; renumber
-   [#id]s by first occurrence (as [Optimizer.Search.canonical] does for
-   plans) to make the rendering position-independent. *)
+   [#id]s by first occurrence (as [Relalg.Fingerprint] does for plans)
+   to make the rendering position-independent. *)
 let renumber (s : string) : string =
   let buf = Buffer.create (String.length s) in
   let map = Hashtbl.create 16 in

@@ -12,12 +12,26 @@ let test_canonical_id_insensitive () =
     Select (Cmp (Gt, ColRef a, Const (Value.Int 1)), TableScan { table = "t"; cols = [ a ] })
   in
   let t1 = mk () and t2 = mk () in
-  Alcotest.(check string) "same canon" (Optimizer.Search.canonical t1)
-    (Optimizer.Search.canonical t2);
+  Alcotest.(check string) "same canon" (Fingerprint.of_op t1) (Fingerprint.of_op t2);
   let a = Col.fresh "a" Value.TInt in
   let t3 = Select (Cmp (Gt, ColRef a, Const (Value.Int 2)), TableScan { table = "t"; cols = [ a ] }) in
   Alcotest.(check bool) "different constant differs" true
-    (Optimizer.Search.canonical t1 <> Optimizer.Search.canonical t3)
+    (Fingerprint.of_op t1 <> Fingerprint.of_op t3)
+
+(* The search deduplicates on the fingerprint, so it must separate
+   plans that differ anywhere: in a float literal beyond four decimals,
+   in the columns a scan reads, in constant-table rows. *)
+let test_fingerprint_exact () =
+  let fp = Fingerprint.of_op in
+  let a = Col.fresh "a" Value.TFloat in
+  let t = TableScan { table = "t"; cols = [ a ] } in
+  let gt f = Select (Cmp (Gt, ColRef a, Const (Value.Float f)), t) in
+  Alcotest.(check bool) "0.00001 vs 0.00002" true (fp (gt 0.00001) <> fp (gt 0.00002));
+  let b = Col.fresh "b" Value.TInt in
+  Alcotest.(check bool) "scan columns" true
+    (fp t <> fp (TableScan { table = "t"; cols = [ a; b ] }));
+  let row v = ConstTable { cols = [ b ]; rows = [ [| Value.Int v |] ] } in
+  Alcotest.(check bool) "constant rows" true (fp (row 1) <> fp (row 2))
 
 let test_cardinality_estimates () =
   let db = Lazy.force tpch in
@@ -117,6 +131,7 @@ let test_stats_ndv () =
 
 let suite =
   [ Alcotest.test_case "canonical id-insensitive" `Quick test_canonical_id_insensitive;
+    Alcotest.test_case "fingerprint is exact" `Quick test_fingerprint_exact;
     Alcotest.test_case "cardinality estimates" `Quick test_cardinality_estimates;
     Alcotest.test_case "cost prefers hash join" `Quick test_cost_prefers_hash_join;
     Alcotest.test_case "config gating" `Quick test_search_respects_gating;

@@ -38,15 +38,21 @@ let test_free_cols_correlation () =
 let env_with_key table key : Props.env =
   { Props.default_env with table_key = (fun t -> if t = table then key else []) }
 
+(* the key/one-row/non-null facts all come from the one property
+   engine, [Fd] *)
+let covers ?env o cols = Fd.covers_key (Fd.analyze ?env o) cols
+let max_one ?env o = Fd.max_one (Fd.analyze ?env o)
+let nonnull ?env o = (Fd.analyze ?env o).Fd.nonnull
+
 let test_keys () =
   let a = mkcol "a" and b = mkcol "b" in
   let t = scan "t" [ a; b ] in
   let env = env_with_key "t" [ "a" ] in
-  Alcotest.(check bool) "pk is key" true (Props.covers_key ~env t (Col.Set.singleton a));
-  Alcotest.(check bool) "b is not key" false (Props.covers_key ~env t (Col.Set.singleton b));
+  Alcotest.(check bool) "pk is key" true (covers ~env t (Col.Set.singleton a));
+  Alcotest.(check bool) "b is not key" false (covers ~env t (Col.Set.singleton b));
   (* groupby keys are a key of its output *)
   let g = GroupBy { keys = [ b ]; aggs = []; input = t } in
-  Alcotest.(check bool) "grouping cols key" true (Props.covers_key ~env g (Col.Set.singleton b));
+  Alcotest.(check bool) "grouping cols key" true (covers ~env g (Col.Set.singleton b));
   (* join multiplies keys *)
   let c = mkcol "c" in
   let u = scan "u" [ c ] in
@@ -57,46 +63,76 @@ let test_keys () =
   in
   let j = Join { kind = Inner; pred = true_; left = t; right = u } in
   Alcotest.(check bool) "join key = union" true
-    (Props.covers_key ~env:env2 j (Col.Set.of_list [ a; c ]));
+    (covers ~env:env2 j (Col.Set.of_list [ a; c ]));
   Alcotest.(check bool) "half not key" false
-    (Props.covers_key ~env:env2 j (Col.Set.singleton a));
+    (covers ~env:env2 j (Col.Set.singleton a));
   (* rownum manufactures a key *)
   let rn_col = Col.fresh "rn" Value.TInt in
   let rn = Rownum { out = rn_col; input = scan "nokey" [ mkcol "z" ] } in
-  Alcotest.(check bool) "rownum key" true (Props.covers_key rn (Col.Set.singleton rn_col))
+  Alcotest.(check bool) "rownum key" true (covers rn (Col.Set.singleton rn_col))
 
 let test_max_one_row () =
   let a = mkcol "a" and b = mkcol "b" in
   let t = scan "t" [ a; b ] in
   let env = env_with_key "t" [ "a" ] in
-  Alcotest.(check bool) "scan not single" false (Props.max_one_row ~env t);
+  Alcotest.(check bool) "scan not single" false (max_one ~env t);
   Alcotest.(check bool) "scalar agg single" true
-    (Props.max_one_row ~env (ScalarAgg { aggs = []; input = t }));
+    (max_one ~env (ScalarAgg { aggs = []; input = t }));
   (* equality on the full key with an outer value pins one row *)
   let outer_col = mkcol "o" in
   let sel = Select (Cmp (Eq, ColRef a, ColRef outer_col), t) in
-  Alcotest.(check bool) "key equality single" true (Props.max_one_row ~env sel);
+  Alcotest.(check bool) "key equality single" true (max_one ~env sel);
   let sel2 = Select (Cmp (Eq, ColRef b, ColRef outer_col), t) in
-  Alcotest.(check bool) "non-key equality not single" false (Props.max_one_row ~env sel2)
+  Alcotest.(check bool) "non-key equality not single" false (max_one ~env sel2)
 
 let test_nonnullable () =
   let a = mkcol "a" in
   let t = scan "t" [ a ] in
-  Alcotest.(check bool) "base col non-null" true (Col.Set.mem a (Props.nonnullable t));
+  Alcotest.(check bool) "base col non-null" true (Col.Set.mem a (nonnull t));
   let b = mkcol "b" in
   let u = scan "u" [ b ] in
   let loj = Join { kind = LeftOuter; pred = true_; left = t; right = u } in
   Alcotest.(check bool) "outerjoin inner side nullable" false
-    (Col.Set.mem b (Props.nonnullable loj));
+    (Col.Set.mem b (nonnull loj));
   Alcotest.(check bool) "outerjoin outer side non-null" true
-    (Col.Set.mem a (Props.nonnullable loj));
+    (Col.Set.mem a (nonnull loj));
   let cnt = { fn = CountStar; out = mkcol "n" } in
   let sagg = ScalarAgg { aggs = [ cnt ]; input = t } in
-  Alcotest.(check bool) "count non-null" true (Col.Set.mem cnt.out (Props.nonnullable sagg));
+  Alcotest.(check bool) "count non-null" true (Col.Set.mem cnt.out (nonnull sagg));
   let s = { fn = Sum (ColRef a); out = mkcol "s" } in
   let sagg2 = ScalarAgg { aggs = [ s ]; input = t } in
   Alcotest.(check bool) "scalar sum nullable (empty input)" false
-    (Col.Set.mem s.out (Props.nonnullable sagg2))
+    (Col.Set.mem s.out (nonnull sagg2))
+
+(* A SegmentHole's columns are whatever its source columns hold, NULLs
+   included: nothing makes them non-null by construction.  (The engine
+   that used to answer this question claimed every hole column
+   non-null.) *)
+let test_segment_hole_nullable () =
+  let src = mkcol "src" in
+  let h = mkcol "h" in
+  let hole = SegmentHole { cols = [ h ]; src = [ src ] } in
+  Alcotest.(check bool) "hole column not claimed non-null" false
+    (Col.Set.mem h (nonnull hole))
+
+(* SegmentApply pads every non-segment column of its outer input with
+   NULL, and the inner side varies by segment: a key of the outer scan
+   determines nothing in the output.  (A tree walk that collected
+   dependencies from every scan used to derive [okey -> cust] here.) *)
+let test_segment_apply_closure () =
+  let okey = mkcol "o_orderkey" and cust = mkcol "o_custkey" in
+  let orders = scan "orders" [ okey; cust ] in
+  let env = env_with_key "orders" [ "o_orderkey" ] in
+  let hc = mkcol "hole_cust" in
+  let inner =
+    ScalarAgg
+      { aggs = [ { fn = CountStar; out = mkcol "n" } ];
+        input = SegmentHole { cols = [ hc ]; src = [ cust ] }
+      }
+  in
+  let sa = SegmentApply { seg_cols = [ cust ]; outer = orders; inner } in
+  Alcotest.(check bool) "outer key does not determine the segment column" false
+    (Col.Set.mem cust (Fd.closure (Fd.analyze ~env sa) (Col.Set.singleton okey)))
 
 let test_strictness () =
   let a = mkcol "a" in
@@ -168,6 +204,8 @@ let suite =
     Alcotest.test_case "key derivation" `Quick test_keys;
     Alcotest.test_case "max one row" `Quick test_max_one_row;
     Alcotest.test_case "nonnullable" `Quick test_nonnullable;
+    Alcotest.test_case "segment hole nullable" `Quick test_segment_hole_nullable;
+    Alcotest.test_case "segment apply closure" `Quick test_segment_apply_closure;
     Alcotest.test_case "strictness" `Quick test_strictness;
     Alcotest.test_case "null rejection" `Quick test_null_rejection;
     Alcotest.test_case "clone fresh" `Quick test_clone_fresh;
