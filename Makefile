@@ -57,34 +57,39 @@ vexec-smoke:
 bench:
 	dune exec bench/main.exe
 
+# The bench-* ledger modes below write _bench/<mode>.jsonl (one row
+# schema, documented at the top of bench/main.ml) and exit 2 after
+# reporting every failed gate.  The committed BENCH_N.json files are
+# earlier ledgers, kept as history.
+
 # tiny-scale sweep of every workload x config in both exec modes;
-# writes BENCH_7.json and gates on bridge_crossings = 0 and per-cell
+# gates on equal row/vector bags, bridge_crossings = 0 and per-cell
 # vector speedup >= 0.95x row
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 
 # property-rewrite operator census: every workload compiled with the
 # symbolic property engine's rewrites off and on, operator counts and
-# costs recorded, bags cross-checked; writes BENCH_9.json and gates on
-# at least one workload losing a GroupBy / Max1row / outer join
+# costs recorded, bags cross-checked; gates on at least one workload
+# losing a GroupBy / Max1row / outer join
 bench-properties:
 	dune exec bench/main.exe -- --properties
 
 # concurrent service scaling at 1/2/4/8 worker domains over the
-# Apply-free workloads; writes BENCH_6.json (the >= 2x scaling
-# assertion fires only on hosts with >= 4 cores)
+# Apply-free workloads, every reply checked against the row oracle
+# (the >= 2x scaling assertion fires only on hosts with >= 4 cores)
 bench-concurrent:
 	dune exec bench/main.exe -- --concurrent
 
 # durability micro-bench: WAL journaling/append throughput, snapshot
 # write, snapshot recovery and cold WAL replay at SF 0.01 and 0.1;
-# writes BENCH_8.json; every recovery is row-count gated
+# every recovery is row-count gated
 bench-durability:
 	dune exec bench/main.exe -- --durability
 
 # caching tier bench: warm plan-phase speedup (gated >= 5x geomean)
 # and the query_many batch CSE win on the q17 family (gated >= 1.2x
-# median with >= 1 materialization); writes BENCH_10.json
+# median with >= 1 materialization)
 bench-cache:
 	dune exec bench/main.exe -- --cache
 
@@ -115,3 +120,4 @@ soak:
 
 clean:
 	dune clean
+	rm -rf _bench

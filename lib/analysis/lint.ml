@@ -391,9 +391,9 @@ let summary (fs : finding list) : string =
 let to_json (fs : finding list) : string =
   let item f =
     Printf.sprintf "{\"severity\":%s,\"code\":%s,\"node\":%s,\"detail\":%s}"
-      (Exec.Metrics.json_string (severity_label f.severity))
-      (Exec.Metrics.json_string f.code)
-      (Exec.Metrics.json_string f.node)
-      (Exec.Metrics.json_string f.detail)
+      (Json.string (severity_label f.severity))
+      (Json.string f.code)
+      (Json.string f.node)
+      (Json.string f.detail)
   in
   "[" ^ String.concat "," (List.map item fs) ^ "]"

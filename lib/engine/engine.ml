@@ -713,6 +713,9 @@ let render_row ?float_digits (r : Exec.Executor.row) : string =
   in
   String.concat "|" (Array.to_list (Array.map value_to_string r))
 
+let bag ?float_digits (rows : Exec.Executor.row list) : string list =
+  List.sort compare (List.map (render_row ?float_digits) rows)
+
 (* multiset difference of two sorted string lists: elements of [a] not
    matched by an occurrence in [b] *)
 let rec bag_diff (a : string list) (b : string list) : string list =
@@ -741,8 +744,8 @@ let check ?(candidate = Optimizer.Config.full)
   let pc = prepare ~config:candidate t sql in
   let c = (execute ?budget ?property_check ~mode t pc).result in
   let r = (execute ?budget t (prepare ~config:reference t sql)).result in
-  let cb = List.sort compare (List.map (render_row ?float_digits) c.rows) in
-  let rb = List.sort compare (List.map (render_row ?float_digits) r.rows) in
+  let cb = bag ?float_digits c.rows in
+  let rb = bag ?float_digits r.rows in
   { check_sql = sql;
     candidate =
       (Optimizer.Config.name_of candidate
@@ -806,13 +809,13 @@ let plan_properties_json ~(env : Props.env) (plan : Algebra.op) : string =
     items :=
       Printf.sprintf
         "{\"node\":%s,\"depth\":%d,\"card\":%s,\"keys\":[%s],\"fds\":%d,\"nonnull\":%s,\"contradiction\":%b}"
-        (Exec.Metrics.json_string (Pp.label o))
+        (Json.string (Pp.label o))
         depth
-        (Exec.Metrics.json_string (Fd.interval_to_string fd.Fd.card))
+        (Json.string (Fd.interval_to_string fd.Fd.card))
         (String.concat ","
-           (List.map (fun k -> Exec.Metrics.json_string (Fd.cols_to_string k)) keys))
+           (List.map (fun k -> Json.string (Fd.cols_to_string k)) keys))
         (List.length fd.Fd.fds)
-        (Exec.Metrics.json_string (Fd.cols_to_string fd.Fd.nonnull))
+        (Json.string (Fd.cols_to_string fd.Fd.nonnull))
         (Fd.contradiction fd)
       :: !items;
     List.iter (walk (depth + 1)) (Op.children o)
@@ -896,20 +899,20 @@ let explain_json ?config ?budget ?(analyze = false) ?(properties = true) ?(mode 
   let p = prepare ?config ~record_trace:(t.caches = None) t sql in
   let b = Buffer.create 2048 in
   Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"sql\":%s," (Exec.Metrics.json_string sql));
+  Buffer.add_string b (Printf.sprintf "\"sql\":%s," (Json.string sql));
   Buffer.add_string b
-    (Printf.sprintf "\"plan_source\":%s," (Exec.Metrics.json_string (plan_source p)));
+    (Printf.sprintf "\"plan_source\":%s," (Json.string (plan_source p)));
   Buffer.add_string b
     (Printf.sprintf "\"config\":%s,"
-       (Exec.Metrics.json_string (Optimizer.Config.name_of p.config)));
+       (Json.string (Optimizer.Config.name_of p.config)));
   Buffer.add_string b
     (Printf.sprintf "\"subquery_class\":%s,"
-       (Exec.Metrics.json_string (Normalize.Classify.to_string p.stages.subquery_class)));
+       (Json.string (Normalize.Classify.to_string p.stages.subquery_class)));
   Buffer.add_string b
     (Printf.sprintf "\"plan_cost\":%.2f,\"seed_cost\":%.2f,\"explored\":%d," p.plan_cost
        p.seed_cost p.explored);
   Buffer.add_string b
-    (Printf.sprintf "\"plan\":%s," (Exec.Metrics.json_string (Pp.to_string p.plan)));
+    (Printf.sprintf "\"plan\":%s," (Json.string (Pp.to_string p.plan)));
   Buffer.add_string b
     (Printf.sprintf "\"trace\":%s,"
        (match p.trace with
@@ -924,7 +927,7 @@ let explain_json ?config ?budget ?(analyze = false) ?(properties = true) ?(mode 
      Buffer.add_string b
        (Printf.sprintf
           "\"execution\":{\"exec_mode\":%s,\"elapsed_s\":%.6f,\"rows\":%d,\"rows_processed\":%d,\"apply_invocations\":%d,\"metrics\":%s}"
-          (Exec.Metrics.json_string (exec_mode_name mode))
+          (Json.string (exec_mode_name mode))
           e.elapsed_s
           (List.length e.result.rows)
           e.rows_processed e.apply_invocations

@@ -291,6 +291,12 @@ val query_resilient_checked :
 
 (** {2 Differential checking} *)
 
+(** A result as a multiset: each row rendered with {!Relalg.Value.to_string}
+    ('|'-separated), the renderings sorted.  Two results are the same bag
+    iff their [bag]s are equal.  [float_digits] rounds floats to that many
+    significant digits first (see {!check}); omitted = exact. *)
+val bag : ?float_digits:int -> Exec.Executor.row list -> string list
+
 type check_report = {
   check_sql : string;
   candidate : string;  (** config name of the plan under test *)

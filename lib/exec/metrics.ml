@@ -162,27 +162,10 @@ let render ?(times = true) (root : node) : string =
 
 (* --- JSON ------------------------------------------------------------ *)
 
-let json_string (s : string) : string =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let rec to_json (n : node) : string =
   Printf.sprintf
     "{\"op\":%s,\"invocations\":%d,\"rows_in\":%d,\"rows_out\":%d,\"elapsed_s\":%.6f,\"fast_path_hits\":%d,\"hash_build_rows\":%d,\"batches\":%d,\"bridge_crossings\":%d,\"apply_batches\":%d,\"apply_bindings\":%d,\"apply_dedup_hits\":%d%s,\"children\":[%s]}"
-    (json_string (Lazy.force n.label)) n.invocations n.rows_in n.rows_out n.elapsed_s
+    (Json.string (Lazy.force n.label)) n.invocations n.rows_in n.rows_out n.elapsed_s
     n.fast_path_hits n.hash_build_rows n.batches n.bridge_crossings n.apply_batches
     n.apply_bindings n.apply_dedup_hits
     (match selectivity n with

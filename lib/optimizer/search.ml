@@ -161,19 +161,6 @@ let trace_to_string (t : trace) : string =
     t.rounds;
   Buffer.contents b
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let trace_to_json (t : trace) : string =
   let round_json (r : round_trace) =
     Printf.sprintf
@@ -183,8 +170,8 @@ let trace_to_json (t : trace) : string =
          (List.map
             (fun s ->
               Printf.sprintf
-                "{\"rule\":\"%s\",\"fired\":%d,\"kept\":%d,\"dups\":%d,\"invalid\":%d}"
-                s.rule s.fired s.kept s.dups s.invalid)
+                "{\"rule\":%s,\"fired\":%d,\"kept\":%d,\"dups\":%d,\"invalid\":%d}"
+                (Json.string s.rule) s.fired s.kept s.dups s.invalid)
             r.stats))
   in
   Printf.sprintf
@@ -194,8 +181,8 @@ let trace_to_json (t : trace) : string =
     (String.concat ","
        (List.map
           (fun (rule, why) ->
-            Printf.sprintf "{\"rule\":\"%s\",\"violation\":\"%s\"}" (json_escape rule)
-              (json_escape why))
+            Printf.sprintf "{\"rule\":%s,\"violation\":%s}" (Json.string rule)
+              (Json.string why))
           t.quarantined))
     t.exhausted
 

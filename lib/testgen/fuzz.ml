@@ -84,15 +84,7 @@ let default_config ~seed ~cases =
    not report that last-ulp drift as a semantic disagreement. *)
 let float_digits = 6
 
-let bag rows =
-  let value_to_string = function
-    | Relalg.Value.Float f -> Printf.sprintf "%.*g" float_digits f
-    | v -> Relalg.Value.to_string v
-  in
-  List.sort compare
-    (List.map
-       (fun r -> String.concat "|" (Array.to_list (Array.map value_to_string r)))
-       rows)
+let bag = Engine.bag ~float_digits
 
 (* Differential classification.  Budget and fault trips carry no
    verdict; everything else that is not agreement is a failure — in a

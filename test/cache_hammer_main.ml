@@ -161,13 +161,6 @@ let () =
   (* quiesced: every query must now agree exactly with a fresh engine
      over the same database *)
   let oracle = Engine.create db in
-  let bag (r : Exec.Executor.result) =
-    List.sort compare
-      (List.map
-         (fun row ->
-           String.concat "|" (Array.to_list (Array.map Relalg.Value.to_string row)))
-         r.Exec.Executor.rows)
-  in
   let final_queries =
     [ "select count(*) from ta";
       "select count(*) from tb";
@@ -179,8 +172,8 @@ let () =
   in
   List.iter
     (fun sql ->
-      let cached = bag (Engine.query eng sql) in
-      let fresh = bag (Engine.query oracle sql) in
+      let cached = Engine.bag (Engine.query eng sql).rows in
+      let fresh = Engine.bag (Engine.query oracle sql).rows in
       if cached <> fresh then
         fail "quiesced bag mismatch for %s: cached %d rows, oracle %d rows" sql
           (List.length cached) (List.length fresh))
@@ -188,8 +181,8 @@ let () =
   let b = Engine.query_many eng final_queries in
   List.iter2
     (fun sql (it : Engine.batch_item) ->
-      let cached = bag it.Engine.item_execution.Engine.result in
-      let fresh = bag (Engine.query oracle sql) in
+      let cached = Engine.bag it.Engine.item_execution.Engine.result.rows in
+      let fresh = Engine.bag (Engine.query oracle sql).rows in
       if cached <> fresh then
         fail "quiesced batch bag mismatch for %s" sql)
     final_queries b.Engine.items;

@@ -15,13 +15,6 @@
 
 let sf = 0.002
 
-let render rows =
-  List.sort compare
-    (List.map
-       (fun r ->
-         String.concat "|" (Array.to_list (Array.map Relalg.Value.to_string r)))
-       rows)
-
 let () =
   let seeds =
     match List.tl (Array.to_list Sys.argv) with
@@ -36,7 +29,8 @@ let () =
   let oracle =
     List.map
       (fun (name, sql) ->
-        (name, sql, render (Engine.query ~config:Optimizer.Config.correlated_only eng sql).rows))
+        let res = Engine.query ~config:Optimizer.Config.correlated_only eng sql in
+        (name, sql, Engine.bag res.rows))
       Workloads.all_named
   in
   let failures = ref 0 in
@@ -46,7 +40,7 @@ let () =
         ~faults:(Exec.Faults.create spec) eng sql
     with
     | Ok r ->
-        let got = render r.execution.result.rows in
+        let got = Engine.bag r.execution.result.rows in
         if got <> expect then begin
           incr failures;
           Printf.printf "FAIL %-12s %-22s wrong rows (served by %s, %d vs %d)\n%!" name

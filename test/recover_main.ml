@@ -101,18 +101,12 @@ let rec rm_rf (path : string) : unit =
 
 (* ---------------- oracle ------------------------------------------- *)
 
-let bag rows =
-  List.sort compare
-    (List.map
-       (fun r -> String.concat "|" (Array.to_list (Array.map Value.to_string r)))
-       rows)
-
 let query_bags (db : Database.t) : (string * string list) list =
   let eng = Engine.create db in
   List.map
     (fun (name, sql) ->
       let res : Exec.Executor.result = Engine.query eng sql in
-      (name, bag res.Exec.Executor.rows))
+      (name, Engine.bag res.Exec.Executor.rows))
     Workloads.all_named
 
 (* workload bags after applying exactly the first [k] mutations *)

@@ -42,16 +42,10 @@ let () =
   let workloads = Array.of_list Workloads.all_named in
 
   (* single-threaded row-engine oracle, computed before any chaos *)
-  let bag rows =
-    List.sort compare
-      (List.map
-         (fun r -> String.concat "|" (Array.to_list (Array.map Relalg.Value.to_string r)))
-         rows)
-  in
   let oracle_eng = Engine.create db in
   let oracle =
     Array.map
-      (fun (name, sql) -> (name, bag (Engine.query ~mode:`Row oracle_eng sql).rows))
+      (fun (name, sql) -> (name, Engine.bag (Engine.query ~mode:`Row oracle_eng sql).rows))
       workloads
   in
 
@@ -119,7 +113,7 @@ let () =
     | Ok e ->
         let name, _ = workloads.(w) in
         let expected = List.assoc name (Array.to_list oracle) in
-        if bag e.Engine.result.Exec.Executor.rows <> expected then begin
+        if Engine.bag e.Engine.result.Exec.Executor.rows <> expected then begin
           Printf.eprintf "WRONG BAG for %s (served_by %s, degraded %b)\n%!" name
             r.Service.served_by r.Service.degraded;
           Atomic.incr wrong

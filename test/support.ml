@@ -56,14 +56,8 @@ let run_op (db : Storage.Database.t) (o : Algebra.op) : Value.t array list =
   let ctx = Exec.Executor.make_ctx db in
   Exec.Executor.run ctx Exec.Executor.empty_lookup o
 
-(* bag comparison via sorted string rendering *)
-let bag (rows : Value.t array list) : string list =
-  List.sort compare
-    (List.map
-       (fun r -> String.concat "|" (Array.to_list (Array.map Value.to_string r)))
-       rows)
-
-let check_same_bag msg a b = Alcotest.(check (list string)) msg (bag a) (bag b)
+let check_same_bag msg a b =
+  Alcotest.(check (list string)) msg (Engine.bag a) (Engine.bag b)
 
 (* run a SQL query end-to-end under a given optimizer config *)
 let run_sql ?config (db : Storage.Database.t) (sql : string) : Value.t array list =

@@ -107,7 +107,7 @@ let test_project_outer_strict_and_guarded () =
   let r2 = remove a2 in
   check_equiv "guarded constant project equivalent" a2 r2;
   (* dept 3 (hr) has no emps: its k must be NULL, not 7 *)
-  let rows = Support.bag (run r2) in
+  let rows = Engine.bag (run r2) in
   Alcotest.(check bool) "hr padded with NULL" true
     (List.exists (fun s -> Support.contains s "3|hr|NULL") rows)
 
@@ -155,7 +155,7 @@ let test_identity_9_count_star () =
   Alcotest.(check bool) "identity 9 flattens count-star" true (no_apply r);
   check_equiv "identity 9 count-star equivalent" a r;
   (* the empty department must count 0, not NULL *)
-  let rows = Support.bag (run r) in
+  let rows = Engine.bag (run r) in
   Alcotest.(check bool) "hr counts 0" true
     (List.exists (fun s -> Support.contains s "3|hr|0") rows)
 
@@ -213,7 +213,7 @@ let test_semi_anti_over_scalar_agg () =
   Alcotest.(check bool) "anti over scalar agg flattens" true (no_apply r_anti);
   check_equiv "anti equivalent" a_anti r_anti;
   (* anti keeps rows where the comparison is UNKNOWN (sum NULL) *)
-  let anti_rows = Support.bag (run r_anti) in
+  let anti_rows = Engine.bag (run r_anti) in
   Alcotest.(check bool) "hr kept by anti (sum is NULL)" true
     (List.exists (fun s -> Support.contains s "3|hr") anti_rows)
 

@@ -25,7 +25,7 @@ let all_formulations =
 
 let test_syntax_independence_results () =
   let dbv = Lazy.force db in
-  let results = List.map (fun sql -> Support.bag (Support.run_sql dbv sql)) all_formulations in
+  let results = List.map (fun sql -> Engine.bag (Support.run_sql dbv sql)) all_formulations in
   match results with
   | first :: rest ->
       List.iteri
@@ -84,9 +84,9 @@ let test_tpch_queries_all_configs () =
   in
   List.iter
     (fun sql ->
-      let base = Support.bag (Support.run_sql ~config:Optimizer.Config.correlated_only dbv sql) in
-      let decorr = Support.bag (Support.run_sql ~config:Optimizer.Config.decorrelated_only dbv sql) in
-      let full = Support.bag (Support.run_sql ~config:Optimizer.Config.full dbv sql) in
+      let base = Engine.bag (Support.run_sql ~config:Optimizer.Config.correlated_only dbv sql) in
+      let decorr = Engine.bag (Support.run_sql ~config:Optimizer.Config.decorrelated_only dbv sql) in
+      let full = Engine.bag (Support.run_sql ~config:Optimizer.Config.full dbv sql) in
       Alcotest.(check (list string)) ("decorr: " ^ sql) base decorr;
       Alcotest.(check (list string)) ("full: " ^ sql) base full)
     queries;

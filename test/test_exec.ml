@@ -10,7 +10,7 @@ let run o = Support.run_op (Lazy.force db) o
 
 let sql ?config s = Support.run_sql ?config (Lazy.force db) s
 
-let strings rows = Support.bag rows
+let strings rows = Engine.bag rows
 
 let check_rows msg expected o =
   Alcotest.(check (list string)) msg (List.sort compare expected) (strings (run o))

@@ -18,7 +18,7 @@ let all_configs =
 let check (sql, expected) =
   List.iter
     (fun (cname, config) ->
-      let got = Support.bag (Support.run_sql ~config (Lazy.force db) sql) in
+      let got = Engine.bag (Support.run_sql ~config (Lazy.force db) sql) in
       Alcotest.(check (list string)) (cname ^ ": " ^ sql) (List.sort compare expected) got)
     all_configs
 

@@ -215,6 +215,27 @@ let test_search_trace () =
   in
   Alcotest.(check bool) "no search, no trace" true (p0.Engine.trace = None)
 
+(* rule names reach the JSON trace as strings and must be escaped *)
+let test_search_trace_json_escapes () =
+  let open Optimizer.Search in
+  let tr =
+    { rounds =
+        [ { round = 1;
+            stats = [ { rule = "say \"hi\""; fired = 1; kept = 1; dups = 0; invalid = 0 } ];
+            survivors = 1;
+            best_cost_after = 1.
+          }
+        ];
+      total_fired = 1;
+      total_duplicates = 0;
+      total_invalid = 0;
+      quarantined = [];
+      exhausted = false
+    }
+  in
+  Alcotest.(check bool) "quote escaped" true
+    (Support.contains (trace_to_json tr) "\"rule\":\"say \\\"hi\\\"\"")
+
 (* --- EXPLAIN ANALYZE golden output ------------------------------------- *)
 
 (* The analyzed-plan section (everything up to the optimizer trace,
@@ -324,6 +345,8 @@ let suite =
     Alcotest.test_case "metrics hash-build + render" `Quick test_metrics_hash_build_and_render;
     Alcotest.test_case "metrics Apply fast path" `Quick test_metrics_apply_fast_path;
     Alcotest.test_case "optimizer search trace" `Quick test_search_trace;
+    Alcotest.test_case "search trace json escapes rule names" `Quick
+      test_search_trace_json_escapes;
     Alcotest.test_case "explain analyze golden" `Quick test_explain_analyze_golden;
     Alcotest.test_case "explain analyze stable sans times" `Quick test_explain_analyze_times_stable
   ]

@@ -40,7 +40,7 @@ let test_case_eager_when_safe () =
   Alcotest.(check bool) "flattens" false
     (Op.exists_op (function Apply _ -> true | _ -> false) st.normalized
     && Normalize.Classify.op_has_subquery st.normalized);
-  let rows = Support.bag (Support.run_sql (Lazy.force db) sql) in
+  let rows = Engine.bag (Support.run_sql (Lazy.force db) sql) in
   Alcotest.(check (list string)) "values"
     (List.sort compare [ "1|eng"; "2|eng"; "3|ops"; "4|none" ])
     rows
@@ -111,8 +111,8 @@ let test_exists_segment_end_to_end () =
      (select l2.l_partkey from lineitem l2 where l2.l_partkey = lineitem.l_partkey \
       and l2.l_quantity > lineitem.l_quantity) order by l_orderkey, l_linenumber"
   in
-  let r_corr = Support.bag (Support.run_sql ~config:Optimizer.Config.correlated_only dbv sql) in
-  let r_full = Support.bag (Support.run_sql ~config:Optimizer.Config.full dbv sql) in
+  let r_corr = Engine.bag (Support.run_sql ~config:Optimizer.Config.correlated_only dbv sql) in
+  let r_full = Engine.bag (Support.run_sql ~config:Optimizer.Config.full dbv sql) in
   Alcotest.(check (list string)) "existential self-join agrees" r_corr r_full
 
 (* --- date handling through the whole stack ------------------------------ *)

@@ -77,9 +77,9 @@ let arb_case = make (Gen.pair gen_db gen_query)
 let prop_configs_agree =
   Test.make ~name:"all optimizer configs compute the same bag" ~count:120 arb_case
     (fun (db, sql) ->
-      let r_corr = Support.bag (Support.run_sql ~config:Optimizer.Config.correlated_only db sql) in
-      let r_decorr = Support.bag (Support.run_sql ~config:Optimizer.Config.decorrelated_only db sql) in
-      let r_full = Support.bag (Support.run_sql ~config:Optimizer.Config.full db sql) in
+      let r_corr = Engine.bag (Support.run_sql ~config:Optimizer.Config.correlated_only db sql) in
+      let r_decorr = Engine.bag (Support.run_sql ~config:Optimizer.Config.decorrelated_only db sql) in
+      let r_full = Engine.bag (Support.run_sql ~config:Optimizer.Config.full db sql) in
       r_corr = r_decorr && r_decorr = r_full)
 
 (* compare the normalization stages pairwise *)
@@ -100,8 +100,8 @@ let prop_class2_agrees =
       let b = Sqlfront.Binder.bind_sql cat sql in
       let base = Normalize.run (Normalize.default_options env) b.op in
       let cls2 = Normalize.run { (Normalize.default_options env) with class2 = true } b.op in
-      Support.bag (Support.run_op db base.normalized)
-      = Support.bag (Support.run_op db cls2.normalized))
+      Engine.bag (Support.run_op db base.normalized)
+      = Engine.bag (Support.run_op db cls2.normalized))
 
 (* the optimizer's exploration never changes results, regardless of the
    rule subset enabled *)
@@ -118,8 +118,8 @@ let prop_rule_subsets_agree =
           max_rounds = 3
         }
       in
-      Support.bag (Support.run_sql ~config:cfg db sql)
-      = Support.bag (Support.run_sql ~config:Optimizer.Config.correlated_only db sql))
+      Engine.bag (Support.run_sql ~config:cfg db sql)
+      = Engine.bag (Support.run_sql ~config:Optimizer.Config.correlated_only db sql))
 
 let suite =
   [ Support.qtest prop_configs_agree;

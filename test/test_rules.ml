@@ -127,7 +127,7 @@ let test_push_below_outerjoin_with_compensation () =
   | Some pushed ->
       check_equiv "outerjoin push preserves semantics" g pushed;
       (* check the padded department (hr) yields count 1, sum NULL *)
-      let rows = Support.bag (Support.run_op (Lazy.force db) pushed) in
+      let rows = Engine.bag (Support.run_op (Lazy.force db) pushed) in
       Alcotest.(check bool) "hr group count 1 sum null" true
         (List.exists (fun r -> r = "3|1|NULL") rows)
 

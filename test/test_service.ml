@@ -409,7 +409,7 @@ let test_concurrent_differential_sweep () =
   let eng = Engine.create db in
   let oracle =
     List.map
-      (fun (name, sql) -> (name, bag (Engine.query ~mode:`Row eng sql).Exec.Executor.rows))
+      (fun (name, sql) -> (name, Engine.bag (Engine.query ~mode:`Row eng sql).rows))
       Workloads.all_named
   in
   let t = Service.create ~config:(config ~domains:4 ~max_queue:256 ()) db in
@@ -428,7 +428,7 @@ let test_concurrent_differential_sweep () =
     (fun (name, _) (r : Service.reply) ->
       let rows = ok_rows r in
       let expected = List.assoc name oracle in
-      Alcotest.(check (list string)) (name ^ " matches row oracle") expected (bag rows))
+      Alcotest.(check (list string)) (name ^ " matches row oracle") expected (Engine.bag rows))
     reqs replies;
   let s = Service.stats t in
   Alcotest.(check int) "all completed" (List.length reqs) s.Service.Stats.completed;

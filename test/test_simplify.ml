@@ -129,7 +129,7 @@ let test_no_push_into_outerjoin_left_pred () =
   let s = Normalize.Simplify.simplify t in
   check_equiv "outerjoin pred stays" t s;
   (* emp rows with salary <= 150 must still appear (padded) *)
-  let rows = Support.bag (run s) in
+  let rows = Engine.bag (run s) in
   Alcotest.(check bool) "ann padded, not dropped" true
     (List.exists (fun r -> Support.contains r "ann") rows)
 

@@ -14,8 +14,8 @@ let vec ?batch_size db o = Vexec.run ?batch_size (Exec.Executor.make_ctx db) o
 let check_modes ?batch_size msg db o =
   Alcotest.(check (list string))
     msg
-    (Support.bag (Support.run_op db o))
-    (Support.bag (vec ?batch_size db o))
+    (Engine.bag (Support.run_op db o))
+    (Engine.bag (vec ?batch_size db o))
 
 (* emp scan with fresh per-occurrence columns, as the binder would make *)
 let emp_scan () =
