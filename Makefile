@@ -1,12 +1,12 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke soak-smoke soak prove-rules lint-smoke clean
+.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke perf-smoke soak-smoke soak prove-rules lint-smoke clean
 
 all:
 	dune build
 
 verify:
-	dune build && dune runtest && $(MAKE) prove-rules && $(MAKE) lint-smoke && $(MAKE) fuzz-smoke && $(MAKE) fuzz-cache-smoke && $(MAKE) vexec-smoke && $(MAKE) bench-smoke && $(MAKE) bench-properties && $(MAKE) bench-cache && $(MAKE) cache-hammer && $(MAKE) recover-smoke
+	dune build && dune runtest && $(MAKE) prove-rules && $(MAKE) lint-smoke && $(MAKE) fuzz-smoke && $(MAKE) fuzz-cache-smoke && $(MAKE) vexec-smoke && $(MAKE) bench-smoke && $(MAKE) bench-properties && $(MAKE) bench-cache && $(MAKE) cache-hammer && $(MAKE) recover-smoke && $(MAKE) perf-smoke
 
 # bounded rule-soundness prover: every registered rewrite rule checked
 # for bag equivalence over all databases with <= 2 rows per table
@@ -106,6 +106,19 @@ cache-hammer:
 # the committed mutation prefix (see test/recover_main.ml)
 recover-smoke:
 	dune build @recover
+
+# end-to-end benchmark smoke: every perfbench workload for 5 s (seed 1,
+# untraced); fails unless each run's final JSON line reports
+# "correct": true and "failed": 0
+perf-smoke:
+	@for w in adhoc-cold report-warm serve-ingest; do \
+	  out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	  echo "$$w: $$out"; \
+	  case "$$out" in \
+	    *'"correct": true,'*'"failed": 0,'*) ;; \
+	    *) echo "perf-smoke: $$w is not correct with 0 failed" >&2; exit 1 ;; \
+	  esac; \
+	done
 
 # chaos soak of the concurrent query service: 2000 requests, 4 worker
 # domains, injected faults, tight deadlines, forced overload and

@@ -18,22 +18,24 @@ let is_identity_project projs input =
        (fun p c -> match p.expr with ColRef c' -> Col.equal c' c && Col.equal p.out c | _ -> false)
        projs sch
 
+(* Rebuilds only what folding changed: an expression with nothing to
+   fold comes back physically. *)
 let rec const_fold (e : expr) : expr =
   match e with
   | And (a, b) -> (
       match const_fold a, const_fold b with
       | Const (Value.Bool true), x | x, Const (Value.Bool true) -> x
       | (Const (Value.Bool false) as f), _ | _, (Const (Value.Bool false) as f) -> f
-      | a, b -> And (a, b))
+      | a', b' -> if a' == a && b' == b then e else And (a', b'))
   | Or (a, b) -> (
       match const_fold a, const_fold b with
       | (Const (Value.Bool true) as t), _ | _, (Const (Value.Bool true) as t) -> t
       | Const (Value.Bool false), x | x, Const (Value.Bool false) -> x
-      | a, b -> Or (a, b))
+      | a', b' -> if a' == a && b' == b then e else Or (a', b'))
   | Not a -> (
       match const_fold a with
       | Const (Value.Bool b) -> Const (Value.Bool (not b))
-      | a -> Not a)
+      | a' -> if a' == a then e else Not a')
   | Cmp (op, a, b) -> (
       match const_fold a, const_fold b with
       | Const x, Const y when not (Value.is_null x || Value.is_null y) ->
@@ -47,32 +49,31 @@ let rec const_fold (e : expr) : expr =
                | Le -> c <= 0
                | Gt -> c > 0
                | Ge -> c >= 0))
-      | a, b -> Cmp (op, a, b))
+      | a', b' -> if a' == a && b' == b then e else Cmp (op, a', b'))
   | e -> e
 
 (* Deduplicate conjuncts modulo the symmetry of equality (a=b vs b=a),
    so that redundant derived predicates (from the equality-closure join
-   rules) do not double-count in selectivity estimation. *)
+   rules) do not double-count in selectivity estimation.  Conjuncts are
+   compared by exact structure (column ids, constants bit for bit), with
+   [a = b] oriented by [compare]; the first of equal conjuncts is kept.
+   The rebuild is left-associated, and when it equals the input the
+   input itself is returned. *)
 let dedup_conjuncts (p : expr) : expr =
   let norm c =
     match c with
-    | Cmp (Eq, a, b) ->
-        if Expr.to_string a <= Expr.to_string b then c else Cmp (Eq, b, a)
+    | Cmp (Eq, a, b) when Stdlib.compare a b > 0 -> Cmp (Eq, b, a)
     | c -> c
   in
-  let seen = Hashtbl.create 8 in
-  let kept =
-    List.filter
-      (fun c ->
-        let key = Expr.to_string (norm c) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (conjuncts p)
+  let rec keep seen = function
+    | [] -> []
+    | c :: rest ->
+        let k = norm c in
+        if List.exists (fun k' -> Stdlib.compare k k' = 0) seen then keep seen rest
+        else c :: keep (k :: seen) rest
   in
-  conj_list kept
+  let rebuilt = conj_list (keep [] (conjuncts p)) in
+  if Stdlib.compare rebuilt p = 0 then p else rebuilt
 
 let simplify_node (o : op) : op =
   match o with
@@ -82,11 +83,13 @@ let simplify_node (o : op) : op =
       | p' -> (
           match i with
           | Select (q, i') -> Select (conj p' q, i')
-          | _ -> Select (p', i)))
+          | _ -> if p' == p then o else Select (p', i)))
   | Join j when not (is_true_const j.pred) ->
-      Join { j with pred = dedup_conjuncts j.pred }
+      let pred = dedup_conjuncts j.pred in
+      if pred == j.pred then o else Join { j with pred }
   | Apply a when not (is_true_const a.pred) ->
-      Apply { a with pred = dedup_conjuncts a.pred }
+      let pred = dedup_conjuncts a.pred in
+      if pred == a.pred then o else Apply { a with pred }
   | Project (projs, i) when is_identity_project projs i -> i
   | Project (projs, Project (inner, i)) ->
       (* merge project-over-project by substitution *)

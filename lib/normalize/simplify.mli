@@ -4,15 +4,20 @@
 open Relalg.Algebra
 
 (** Fold comparisons/connectives over constants (NULL operands are left
-    alone — their 3VL behaviour is not a constant). *)
+    alone — their 3VL behaviour is not a constant).  Returns the input
+    physically when nothing folds. *)
 val const_fold : expr -> expr
 
 (** Drop duplicate conjuncts modulo equality symmetry (derived
-    predicates must not double-count in selectivity estimation). *)
+    predicates must not double-count in selectivity estimation).
+    Conjuncts are equal when their structure is, column ids and
+    constants exactly; the rest are rebuilt left-associated, and the
+    input is returned physically when the rebuild equals it. *)
 val dedup_conjuncts : expr -> expr
 
 (** Single-pass bottom-up cleanup: elide trivial selects/projections,
-    merge stacked selects and projections, dedup conjuncts. *)
+    merge stacked selects and projections, dedup conjuncts.  Subtrees
+    with nothing to clean come back physically unchanged. *)
 val cleanup : op -> op
 
 (** Push filter conjuncts towards the tables they constrain (through

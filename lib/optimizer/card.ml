@@ -113,45 +113,64 @@ let clamp env (o : op) (est : float) : float =
   in
   Float.max (float_of_int lo) est
 
-let rec estimate env (o : op) : float = clamp env o (estimate_raw env o)
-
-and estimate_raw env (o : op) : float =
-  match o with
-  | TableScan { table; _ } -> float_of_int (Stats.row_count env.stats table)
-  | ConstTable { rows; _ } -> float_of_int (List.length rows)
-  | CseScan { rows_hint; _ } -> float_of_int rows_hint
-  | SegmentHole _ -> env.hole_card
-  | Select (p, i) -> estimate env i *. selectivity env p
-  | Project (_, i) | Rownum { input = i; _ } | Max1row i -> estimate env i
-  | Join { kind; pred; left; right } | Apply { kind; pred; left; right } -> (
-      let cl = estimate env left and cr = estimate env right in
+(* The cardinality formula of one node, given its children's clamped
+   estimates in [Op.children] order. *)
+let node_card env (o : op) (kids : float list) : float =
+  match o, kids with
+  | TableScan { table; _ }, _ -> float_of_int (Stats.row_count env.stats table)
+  | ConstTable { rows; _ }, _ -> float_of_int (List.length rows)
+  | CseScan { rows_hint; _ }, _ -> float_of_int rows_hint
+  | SegmentHole _, _ -> env.hole_card
+  | Select (p, _), [ ci ] -> ci *. selectivity env p
+  | (Project _ | Rownum _ | Max1row _), [ ci ] -> ci
+  | (Join { kind; pred; _ } | Apply { kind; pred; _ }), [ cl; cr ] -> (
       let sel = selectivity env pred in
       match kind with
       | Inner -> Float.max 1.0 (cl *. cr *. sel)
       | LeftOuter -> Float.max cl (cl *. cr *. sel)
       | Semi -> Float.max 1.0 (cl *. Float.min 1.0 (cr *. sel))
       | Anti -> Float.max 1.0 (cl *. Float.max 0.1 (1.0 -. (cr *. sel))))
-  | SegmentApply { seg_cols; outer; inner } ->
-      let co = estimate env outer in
-      let nseg = group_card env seg_cols co in
-      let saved = env.hole_card in
-      env.hole_card <- Float.max 1.0 (co /. nseg);
-      let ci = estimate env inner in
-      env.hole_card <- saved;
-      nseg *. ci
-  | GroupBy
-      { keys;
-        input = (GroupBy { keys = ikeys; _ } | LocalGroupBy { keys = ikeys; _ }) as i;
-        _
-      }
+  | SegmentApply { seg_cols; _ }, [ co; ci ] -> group_card env seg_cols co *. ci
+  | ( GroupBy
+        { keys;
+          input = GroupBy { keys = ikeys; _ } | LocalGroupBy { keys = ikeys; _ };
+          _
+        },
+      [ ci ] )
     when Col.Set.equal (Col.Set.of_list keys) (Col.Set.of_list ikeys) ->
       (* the input already has one row per key combination, so grouping
          again is the identity on cardinality; without this the generic
          damping below would credit the redundant stack with fewer rows
          than the single equivalent GroupBy *)
-      estimate env i
-  | GroupBy { keys; input; _ } | LocalGroupBy { keys; input; _ } ->
-      group_card env keys (estimate env input)
-  | ScalarAgg _ -> 1.0
-  | UnionAll (l, r) -> estimate env l +. estimate env r
-  | Except (l, _) -> estimate env l
+      ci
+  | (GroupBy { keys; _ } | LocalGroupBy { keys; _ }), [ ci ] -> group_card env keys ci
+  | ScalarAgg _, _ -> 1.0
+  | UnionAll _, [ cl; cr ] -> cl +. cr
+  | Except _, [ cl; _ ] -> cl
+  | _ -> invalid_arg "Card.node_card: arity mismatch"
+
+(* One bottom-up walk: every node is estimated and clamped exactly once,
+   and [f o card kids] derives a per-node value (the cost model's) from
+   the node's estimate and its children's (estimate, value) pairs, in
+   [Op.children] order.  A SegmentApply's inner is walked with
+   [hole_card] set to the expected rows per segment. *)
+let fold env (f : op -> float -> (float * 'a) list -> 'a) (o : op) : float * 'a =
+  let rec walk o =
+    let kids =
+      match o with
+      | SegmentApply { seg_cols; outer; inner } ->
+          let ((co, _) as ko) = walk outer in
+          let nseg = group_card env seg_cols co in
+          let saved = env.hole_card in
+          env.hole_card <- Float.max 1.0 (co /. nseg);
+          let ki = walk inner in
+          env.hole_card <- saved;
+          [ ko; ki ]
+      | o -> List.map walk (Op.children o)
+    in
+    let card = clamp env o (node_card env o (List.map fst kids)) in
+    (card, f o card kids)
+  in
+  walk o
+
+let estimate env (o : op) : float = fst (fold env (fun _ _ _ -> ()) o)

@@ -31,8 +31,16 @@ val selectivity : env -> expr -> float
 (** Expected group count for grouping columns over [n] input rows. *)
 val group_card : env -> Col.t list -> float -> float
 
-(** Estimated output rows of a tree, clamped to the cardinality
-    interval proven by the symbolic property engine ({!Relalg.Fd}):
-    the interval is a hard bound, the selectivity arithmetic only an
-    estimate. *)
+(** [fold env f o] walks [o] bottom-up once, estimating each node's
+    output rows exactly once, and derives a value per node with
+    [f node rows kids], where [kids] are the children's (rows, value)
+    pairs in {!Relalg.Op.children} order.  Returns the root's pair.
+    The cost model is computed this way, in the same walk as the
+    cardinalities it consumes. *)
+val fold : env -> (op -> float -> (float * 'a) list -> 'a) -> op -> float * 'a
+
+(** Estimated output rows of a tree ([fold] without a per-node value),
+    clamped to the cardinality interval proven by the symbolic property
+    engine ({!Relalg.Fd}): the interval is a hard bound, the selectivity
+    arithmetic only an estimate. *)
 val estimate : env -> op -> float

@@ -46,31 +46,23 @@ let rec apply_index_path (cat : Catalog.t) (lcols : Col.Set.t) (right : op) :
         (conjuncts p)
   | _ -> None
 
-let rec cost (env : Card.env) (cat : Catalog.t) (o : op) : float =
-  let card = Card.estimate env in
-  match o with
-  | TableScan _ -> card o *. touch
-  | ConstTable _ | SegmentHole _ | CseScan _ -> card o *. touch
-  | Select (p, i) ->
+(* The cost of one node from its estimated output rows [out] and its
+   children's (rows, cost) pairs, as {!Card.fold} supplies them. *)
+let node_cost (env : Card.env) (cat : Catalog.t) (o : op) (out : float)
+    (kids : (float * float) list) : float =
+  match o, kids with
+  | (TableScan _ | ConstTable _ | SegmentHole _ | CseScan _), _ -> out *. touch
+  | Select (p, _), [ (ni, ci) ] ->
       let n = float_of_int (List.length (conjuncts p)) in
-      cost env cat i +. (card i *. 0.3 *. n)
-  | Project (_, i) -> cost env cat i +. (card i *. 0.2)
-  | Rownum { input = i; _ } -> cost env cat i +. (card i *. 0.1)
-  | Max1row i -> cost env cat i
-  | Join { kind; pred; left; right } ->
-      let cl = cost env cat left and cr = cost env cat right in
-      let nl = card left and nr = card right in
-      let out = card o in
-      let lset = Op.schema_set left and rset = Op.schema_set right in
-      if has_equi pred lset rset then
+      ci +. (ni *. 0.3 *. n)
+  | Project _, [ (ni, ci) ] -> ci +. (ni *. 0.2)
+  | Rownum _, [ (ni, ci) ] -> ci +. (ni *. 0.1)
+  | Max1row _, [ (_, ci) ] -> ci
+  | Join { pred; left; right; _ }, [ (nl, cl); (nr, cr) ] ->
+      if has_equi pred (Op.schema_set left) (Op.schema_set right) then
         cl +. cr +. (hash_build *. nr) +. (1.2 *. nl) +. (0.5 *. out)
-      else begin
-        ignore kind;
-        cl +. cr +. (nl *. Float.max 1.0 nr *. 0.8) +. (0.5 *. out)
-      end
-  | Apply { left; right; _ } -> (
-      let cl = cost env cat left in
-      let nl = card left in
+      else cl +. cr +. (nl *. Float.max 1.0 nr *. 0.8) +. (0.5 *. out)
+  | Apply { left; right; _ }, [ (nl, cl); (_, ci) ] -> (
       match apply_index_path cat (Op.schema_set left) right with
       | Some (table, col) ->
           let matched =
@@ -81,22 +73,20 @@ let rec cost (env : Card.env) (cat : Catalog.t) (o : op) : float =
           cl +. (nl *. (probe_cost +. matched))
       | None ->
           (* re-execute the inner expression per outer row *)
-          let ci = cost env cat right in
-          cl +. (nl *. Float.max 1.0 ci) +. (0.5 *. card o))
-  | SegmentApply { seg_cols; outer; inner } ->
-      let co = cost env cat outer in
-      let no = card outer in
+          cl +. (nl *. Float.max 1.0 ci) +. (0.5 *. out))
+  | SegmentApply { seg_cols; _ }, [ (no, co); (_, ci) ] ->
+      (* [ci] was costed with [hole_card] set to the rows per segment *)
       let nseg = Card.group_card env seg_cols no in
-      let saved = env.hole_card in
-      env.hole_card <- Float.max 1.0 (no /. nseg);
-      let ci = cost env cat inner in
-      env.hole_card <- saved;
       co +. (hash_build *. no) +. (nseg *. Float.max 1.0 ci)
-  | GroupBy { input; _ } | LocalGroupBy { input; _ } ->
-      cost env cat input +. (hash_build *. card input) +. (0.5 *. card o)
-  | ScalarAgg { input; _ } -> cost env cat input +. card input
-  | UnionAll (l, r) -> cost env cat l +. cost env cat r
-  | Except (l, r) -> cost env cat l +. cost env cat r +. (hash_build *. card r) +. card l
+  | (GroupBy _ | LocalGroupBy _), [ (ni, ci) ] ->
+      ci +. (hash_build *. ni) +. (0.5 *. out)
+  | ScalarAgg _, [ (ni, ci) ] -> ci +. ni
+  | UnionAll _, [ (_, cl); (_, cr) ] -> cl +. cr
+  | Except _, [ (nl, cl); (nr, cr) ] -> cl +. cr +. (hash_build *. nr) +. nl
+  | _ -> invalid_arg "Cost.node_cost: arity mismatch"
+
+let cost (env : Card.env) (cat : Catalog.t) (o : op) : float =
+  snd (Card.fold env (node_cost env cat) o)
 
 let of_plan (stats : Stats.t) (o : op) : float =
   let env = Card.make_env stats o in

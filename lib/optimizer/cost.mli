@@ -24,7 +24,8 @@ val has_equi : expr -> Col.Set.t -> Col.Set.t -> bool
     declared index on an equality column.  Returns (table, column). *)
 val apply_index_path : Catalog.t -> Col.Set.t -> op -> (string * string) option
 
-(** Cost of a tree under a cardinality environment. *)
+(** Cost of a tree under a cardinality environment, computed in the
+    same bottom-up walk ({!Card.fold}) as the cardinalities it uses. *)
 val cost : Card.env -> Catalog.t -> op -> float
 
 (** Convenience: build the environment from statistics and cost. *)

@@ -104,7 +104,7 @@ type rule_stat = {
   rule : string;
   fired : int;  (** trees the rule produced this round *)
   kept : int;  (** accepted into the memo (new alternatives) *)
-  dups : int;  (** rejected as duplicates of memoized trees *)
+  dups : int;  (** rejected, unverified, as duplicates of memoized trees *)
   invalid : int;  (** rejected by the plan integrity verifier *)
 }
 
@@ -201,9 +201,12 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
      exploration itself is unrestricted.  Falls back to the seed when no
      explored plan qualifies.
      [verify]: run every candidate a rule emits through the plan
-     integrity verifier; invalid candidates are dropped (never costed)
-     and the offending rule is quarantined for the rest of this search,
-     so one bad rule degrades plan quality instead of correctness.
+     integrity verifier before it enters the memo; invalid candidates
+     are dropped (never costed) and the offending rule is quarantined
+     for the rest of this search, so one bad rule degrades plan quality
+     instead of correctness.  Duplicates are found first (cleanup, then
+     fingerprint) and skip verification: the memoized copy was verified
+     when admitted.
      [extra_rules] extends the configured rule set (tests use it to
      inject deliberately broken rules). *)
   let cat = Stats.catalog stats in
@@ -218,22 +221,23 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
   let seen = Hashtbl.create 128 in
   let best = ref seed in
   let best_cost = ref infinity in
-  let add t =
+  (* a candidate is its cleaned tree and the memo key of that tree *)
+  let candidate t =
     let t = Normalize.Simplify.cleanup t in
-    let key = Fingerprint.of_op t in
-    if Hashtbl.mem seen key then None
-    else begin
-      Hashtbl.replace seen key ();
-      let c = Cost.of_plan stats t in
-      if c < !best_cost && must t then begin
-        best := t;
-        best_cost := c
-      end;
-      Some (c, t)
-    end
+    (Fingerprint.of_op t, t)
+  in
+  let admit key t =
+    Hashtbl.replace seen key ();
+    let c = Cost.of_plan stats t in
+    if c < !best_cost && must t then begin
+      best := t;
+      best_cost := c
+    end;
+    (c, t)
   in
   let seed_cost =
-    match add seed with Some (c, _) -> c | None -> Cost.of_plan stats seed
+    let key, t = candidate seed in
+    fst (admit key t)
   in
   let frontier = ref [ (seed_cost, seed) ] in
   let round = ref 0 in
@@ -289,31 +293,33 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
                      (* a firing earlier in this list may have just
                         quarantined the rule: skip its remaining output *)
                      if not (Hashtbl.mem quarantine rule.name) then begin
-                       let violations =
-                         if verify then
-                           match Verify.check ~expect_schema f.result with
-                           | [] ->
-                               Verify.check_rewrite ~env ~rule:rule.name
-                                 ~before:f.site_before ~after:f.site_after
-                           | vs -> vs
-                         else []
-                       in
-                       match violations with
-                       | v :: _ ->
-                           Hashtbl.replace quarantine rule.name
-                             (Verify.violation_summary v);
-                           incr total_invalid;
-                           if record_trace then
-                             bump rule.name ~fired:1 ~kept:0 ~dups:0 ~invalid:1
-                       | [] -> (
-                           match add f.result with
-                           | Some entry ->
-                               next := entry :: !next;
-                               if record_trace then
-                                 bump rule.name ~fired:1 ~kept:1 ~dups:0 ~invalid:0
-                           | None ->
-                               if record_trace then
-                                 bump rule.name ~fired:1 ~kept:0 ~dups:1 ~invalid:0)
+                       let key, cleaned = candidate f.result in
+                       if Hashtbl.mem seen key then begin
+                         (* already memoized, and verified when admitted *)
+                         if record_trace then
+                           bump rule.name ~fired:1 ~kept:0 ~dups:1 ~invalid:0
+                       end
+                       else
+                         let violations =
+                           if verify then
+                             match Verify.check ~expect_schema f.result with
+                             | [] ->
+                                 Verify.check_rewrite ~env ~rule:rule.name
+                                   ~before:f.site_before ~after:f.site_after
+                             | vs -> vs
+                           else []
+                         in
+                         match violations with
+                         | v :: _ ->
+                             Hashtbl.replace quarantine rule.name
+                               (Verify.violation_summary v);
+                             incr total_invalid;
+                             if record_trace then
+                               bump rule.name ~fired:1 ~kept:0 ~dups:0 ~invalid:1
+                         | [] ->
+                             next := admit key cleaned :: !next;
+                             if record_trace then
+                               bump rule.name ~fired:1 ~kept:1 ~dups:0 ~invalid:0
                      end)
                    (apply_everywhere_sites rule t))
              rules)

@@ -39,7 +39,7 @@ type rule_stat = {
   rule : string;
   fired : int;  (** trees the rule produced this round *)
   kept : int;  (** accepted into the memo (new alternatives) *)
-  dups : int;  (** rejected as duplicates of memoized trees *)
+  dups : int;  (** rejected, unverified, as duplicates of memoized trees *)
   invalid : int;  (** rejected by the plan integrity verifier *)
 }
 
@@ -82,12 +82,20 @@ type outcome = {
     [record_trace] additionally returns the per-round rule-firing
     trace.
 
-    [verify] (default [true]) runs {!Relalg.Verify} over every
-    rule-emitted candidate: structural/semantic invariants on the whole
-    tree plus rewrite-specific side conditions at the firing site.  A
-    candidate with violations is dropped before it is ever costed, and
-    the offending rule is quarantined — skipped for the rest of this
-    search — so one broken transformation cannot poison the plan space.
+    Each rule firing is cleaned up ({!Normalize.Simplify.cleanup}) and
+    fingerprinted first.  A firing whose plan is already in the memo is
+    counted as a duplicate and dropped without verification: its plan
+    was verified when first admitted.  [verify] (default [true]) runs
+    {!Relalg.Verify} over every other firing before it enters the memo:
+    structural/semantic invariants on the whole tree plus
+    rewrite-specific side conditions at the firing site.  A candidate
+    with violations is dropped before it is ever costed, and the
+    offending rule is quarantined — skipped for the rest of this search
+    — so one broken transformation cannot poison the plan space.  Every
+    plan that enters the memo, and so every plan that can be chosen,
+    has been verified; a duplicate firing cannot quarantine its rule.
+    In a trace every round satisfies [fired = kept + dups + invalid]
+    per rule.
     [extra_rules] appends caller-supplied rules to the configured set
     (tests use it to exercise quarantine with a deliberately unsound
     rule). *)

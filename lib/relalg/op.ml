@@ -319,9 +319,13 @@ let iso (a : op) (b : op) : Col.t Col.IdMap.t option =
     Some !map
   with Not_iso | Invalid_argument _ -> None
 
-(* Generic bottom-up rewrite. *)
+(* Generic bottom-up rewrite.  A node whose children all come back
+   physically unchanged is passed to [f] as is, not rebuilt, so a rewrite
+   that changes nothing returns the input tree itself. *)
 let rec map_bottom_up (f : op -> op) (o : op) : op =
-  f (with_children o (List.map (map_bottom_up f) (children o)))
+  let cs = children o in
+  let cs' = List.map (map_bottom_up f) cs in
+  f (if List.for_all2 ( == ) cs cs' then o else with_children o cs')
 
 let rec exists_op (pred : op -> bool) (o : op) : bool =
   pred o || List.exists (exists_op pred) (children o)

@@ -48,6 +48,10 @@ val clone_fresh : op -> op * Col.t Col.IdMap.t
     instances of the same expression. *)
 val iso : op -> op -> Col.t Col.IdMap.t option
 
+(** Bottom-up rewrite: [f] sees each node after its children were
+    rewritten.  A node whose children all came back physically
+    unchanged reaches [f] as the same node, so a rewrite that changes
+    nothing returns its input physically. *)
 val map_bottom_up : (op -> op) -> op -> op
 val exists_op : (op -> bool) -> op -> bool
 val count_ops : op -> int

@@ -56,6 +56,10 @@ let run_op (db : Storage.Database.t) (o : Algebra.op) : Value.t array list =
   let ctx = Exec.Executor.make_ctx db in
   Exec.Executor.run ctx Exec.Executor.empty_lookup o
 
+(* TPC-H at SF 0.01, the scale the adhoc-cold benchmark plans at;
+   shared by the tests that pin answers or plans there *)
+let tpch_sf001 = lazy (Datagen.Tpch_gen.database ~sf:0.01 ())
+
 let check_same_bag msg a b =
   Alcotest.(check (list string)) msg (Engine.bag a) (Engine.bag b)
 

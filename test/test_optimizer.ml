@@ -129,6 +129,32 @@ let test_stats_ndv () =
   (* cached second call *)
   Alcotest.(check int) "cached" 5 (Optimizer.Stats.ndv stats "region" "r_regionkey")
 
+(* Plan identity guard.  For Qgen seed 1, cases 0-47 (the statement
+   shapes of the adhoc-cold benchmark), at SF 0.01 with the plan cache
+   off and column ids reset before each statement, one line per case:
+   the case, the chosen plan's cost bit for bit ([%h]), the number of
+   explored alternatives and the MD5 of the plan's text.  The constant
+   is the MD5 of those 48 lines as the search produced them before
+   candidates were made cheap (one-pass costing, exact conjunct dedup,
+   sharing-preserving cleanup, duplicates dropped before verifying),
+   computed by running this function on that tree and printing the
+   digest.  A change that means to speed up the search must leave it
+   alone; one that means to change plans must update it and say why. *)
+let plan_identity_digest = "44ffb6809b0e16553d437b925112d43f"
+
+let test_plan_identity () =
+  let eng = Engine.create (Lazy.force Support.tpch_sf001) in
+  let lines =
+    List.init 48 (fun case ->
+        Col.reset_counter ();
+        let p = Engine.prepare ~use_cache:false eng (Testgen.Qgen.sql_of ~seed:1 ~case) in
+        Printf.sprintf "%d %h %d %s\n" case p.plan_cost p.explored
+          (Digest.to_hex (Digest.string (Pp.to_string p.plan))))
+  in
+  let got = Digest.to_hex (Digest.string (String.concat "" lines)) in
+  if got <> plan_identity_digest then
+    Alcotest.failf "plans changed (digest %s):\n%s" got (String.concat "" lines)
+
 let suite =
   [ Alcotest.test_case "canonical id-insensitive" `Quick test_canonical_id_insensitive;
     Alcotest.test_case "fingerprint is exact" `Quick test_fingerprint_exact;
@@ -137,5 +163,6 @@ let suite =
     Alcotest.test_case "config gating" `Quick test_search_respects_gating;
     Alcotest.test_case "search improves cost" `Quick test_search_improves_cost;
     Alcotest.test_case "indexed apply correct" `Quick test_indexed_apply_chosen_for_small_outer;
-    Alcotest.test_case "stats ndv" `Quick test_stats_ndv
+    Alcotest.test_case "stats ndv" `Quick test_stats_ndv;
+    Alcotest.test_case "plan identity guard" `Quick test_plan_identity
   ]

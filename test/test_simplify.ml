@@ -87,6 +87,27 @@ let test_conjunct_dedup () =
       Alcotest.(check int) "one conjunct kept" 1 (List.length (conjuncts p))
   | _ -> Alcotest.fail "expected select"
 
+(* Conjuncts are equal only when their structure is: two float
+   constants that print alike (4 decimals) are two conjuncts. *)
+let test_conjunct_dedup_exact_floats () =
+  let _, cols = fresh_scan "emp" in
+  let esal = List.nth cols 3 in
+  let below f = Cmp (Lt, ColRef esal, Const (Value.Float f)) in
+  let p = And (below 10.00001, below 9.99999) in
+  Alcotest.(check int) "both conjuncts kept" 2
+    (List.length (conjuncts (Normalize.Simplify.dedup_conjuncts p)))
+
+(* The same collision end to end: merging the two bounds kept the
+   looser one and counted the l_quantity = 10 rows.  Uncached, so the
+   literals stay in the plan instead of becoming parameter slots. *)
+let test_conjunct_dedup_exact_floats_engine () =
+  let eng = Engine.create (Lazy.force Support.tpch_sf001) in
+  let rows sql = (Engine.execute eng (Engine.prepare ~use_cache:false eng sql)).result.rows in
+  let q = "select count(*) from lineitem where l_quantity < " in
+  Support.check_same_bag "tighter bound wins"
+    (rows (q ^ "9.99999"))
+    (rows (q ^ "10.00001 and l_quantity < 9.99999"))
+
 (* --- predicate pushdown ---------------------------------------------- *)
 
 let test_push_into_join_sides () =
@@ -271,6 +292,9 @@ let suite =
     Alcotest.test_case "identity project elided" `Quick test_identity_project_elided;
     Alcotest.test_case "project merge" `Quick test_project_merge;
     Alcotest.test_case "conjunct dedup" `Quick test_conjunct_dedup;
+    Alcotest.test_case "conjunct dedup exact floats" `Quick test_conjunct_dedup_exact_floats;
+    Alcotest.test_case "conjunct dedup exact floats, engine" `Quick
+      test_conjunct_dedup_exact_floats_engine;
     Alcotest.test_case "push into join sides" `Quick test_push_into_join_sides;
     Alcotest.test_case "no push into outerjoin left" `Quick test_no_push_into_outerjoin_left_pred;
     Alcotest.test_case "push into outerjoin right" `Quick test_push_into_outerjoin_right_pred;

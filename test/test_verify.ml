@@ -154,29 +154,30 @@ let test_filter_groupby_recheck () =
 (* Search integration: invalid candidates dropped, rule quarantined.   *)
 (* ------------------------------------------------------------------ *)
 
+(* a deliberately unsound rule: rewrites any Select into one whose
+   predicate references a column no child produces *)
+let bad_rule =
+  { Optimizer.Search.name = "bad-ghost-filter";
+    apply =
+      (fun o ->
+        match o with
+        | Select (_, input) ->
+            [ Select (Cmp (Eq, ColRef (Col.fresh "ghost" Value.TInt), Const (Value.Int 0)), input)
+            ]
+        | _ -> []);
+  }
+
+(* the normalized plan of [sql]: the seed the search starts from *)
+let search_seed cat env sql =
+  let bound = Sqlfront.Binder.bind_sql cat sql in
+  (Normalize.run (Normalize.default_options env) bound.op).normalized
+
 let test_quarantine () =
   let db = Support.toy_db () in
   let cat = db.Storage.Database.catalog in
   let env = Catalog.props_env cat in
   let stats = Optimizer.Stats.create db in
-  let sql = "select eid from emp where salary > 150 and dept = 1" in
-  let bound = Sqlfront.Binder.bind_sql cat sql in
-  let stages = Normalize.run (Normalize.default_options env) bound.op in
-  let seed = stages.normalized in
-  (* a deliberately unsound rule: rewrites any Select into one whose
-     predicate references a column no child produces *)
-  let bad_rule =
-    { Optimizer.Search.name = "bad-ghost-filter";
-      apply =
-        (fun o ->
-          match o with
-          | Select (_, input) ->
-              [ Select (Cmp (Eq, ColRef (Col.fresh "ghost" Value.TInt), Const (Value.Int 0)),
-                        input)
-              ]
-          | _ -> []);
-    }
-  in
+  let seed = search_seed cat env "select eid from emp where salary > 150 and dept = 1" in
   let outcome =
     Optimizer.Search.optimize ~record_trace:true ~extra_rules:[ bad_rule ]
       Optimizer.Config.full stats ~env seed
@@ -205,6 +206,43 @@ let test_quarantine () =
   in
   Alcotest.(check int) "no quarantine without verification" 0
     (List.length unverified.quarantined)
+
+(* Duplicates are dropped before verification, so a firing lands in
+   exactly one trace column: every round's per-rule counts satisfy
+   fired = kept + dups + invalid.  The broken rule's first firing is
+   never a duplicate (its ghost column occurs nowhere else), so it is
+   still verified and the rule still quarantined. *)
+let test_trace_accounts_every_firing () =
+  let db = Datagen.Tpch_gen.database ~sf:0.002 () in
+  let cat = db.Storage.Database.catalog in
+  let env = Catalog.props_env cat in
+  let stats = Optimizer.Stats.create db in
+  let dups = ref 0 in
+  List.iter
+    (fun (name, sql) ->
+      let outcome =
+        Optimizer.Search.optimize ~record_trace:true ~extra_rules:[ bad_rule ]
+          Optimizer.Config.full stats ~env (search_seed cat env sql)
+      in
+      let tr = Option.get outcome.trace in
+      List.iter
+        (fun (r : Optimizer.Search.round_trace) ->
+          List.iter
+            (fun (s : Optimizer.Search.rule_stat) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s round %d %s: fired = kept + dups + invalid" name r.round
+                   s.rule)
+                s.fired
+                (s.kept + s.dups + s.invalid))
+            r.stats)
+        tr.rounds;
+      dups := !dups + tr.total_duplicates;
+      Alcotest.(check bool) (name ^ ": broken rule quarantined") true
+        (List.mem_assoc "bad-ghost-filter" outcome.quarantined);
+      Alcotest.(check int) (name ^ ": chosen plan is valid") 0
+        (List.length (Verify.check outcome.best)))
+    Workloads.all_named;
+  Alcotest.(check bool) "some firings were duplicates" true (!dups > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine integration: typed Invalid_plan, recoverable.                *)
@@ -341,6 +379,7 @@ let suite =
     Alcotest.test_case "oj simplification replay" `Quick test_oj_simplification_replay;
     Alcotest.test_case "filter/groupby recheck" `Quick test_filter_groupby_recheck;
     Alcotest.test_case "rule quarantine" `Quick test_quarantine;
+    Alcotest.test_case "trace accounts every firing" `Quick test_trace_accounts_every_firing;
     Alcotest.test_case "error classification" `Quick test_error_classification;
     Alcotest.test_case "workload plans clean" `Quick test_workloads_clean;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
