@@ -52,8 +52,8 @@ let exec_mode_conv =
 let exec_mode_arg =
   let doc =
     "Execution engine: row (tuple-at-a-time interpreter, the semantic oracle) or \
-     vector (batch-at-a-time columnar executor; subtrees it does not cover run on \
-     the row interpreter behind a bridge)."
+     vector (batch-at-a-time columnar executor running every operator natively; \
+     same bags and runtime errors as row)."
   in
   Arg.(value & opt exec_mode_conv `Row & info [ "exec-mode" ] ~docv:"MODE" ~doc)
 

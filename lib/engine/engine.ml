@@ -365,7 +365,7 @@ type execution = {
   result : Exec.Executor.result;
   apply_invocations : int;
   rows_processed : int;
-  bridge_crossings : int;  (** vector mode: subtrees run on the row engine *)
+  bridge_crossings : int;  (** always 0; kept because benchmark ledgers report it *)
   apply_batches : int;  (** vector mode: batched-Apply outer batches *)
   apply_bindings : int;  (** vector mode: distinct correlation bindings evaluated *)
   apply_dedup_hits : int;  (** vector mode: outer rows that reused a binding *)
@@ -428,7 +428,7 @@ let execute ?budget ?faults ?(collect_metrics = false) ?(property_check = false)
   { result = { col_names = List.map fst p.bound.outputs; rows };
     apply_invocations = ctx.apply_invocations;
     rows_processed = ctx.rows_processed;
-    bridge_crossings = ctx.bridge_crossings;
+    bridge_crossings = 0;
     apply_batches = ctx.apply_batches;
     apply_bindings = ctx.apply_bindings;
     apply_dedup_hits = ctx.apply_dedup_hits;

@@ -140,8 +140,10 @@ type execution = {
   apply_invocations : int;  (** correlated inner evaluations performed *)
   rows_processed : int;
   bridge_crossings : int;
-      (** vector mode: subtrees handed to the row interpreter; 0 means
-          the plan ran fully vectorized *)
+      (** always 0.  Vector mode once handed some subtrees to the row
+          interpreter and counted them here; every operator now runs
+          natively, but the field stays because benchmark ledgers
+          still report it. *)
   apply_batches : int;  (** vector mode: batched-Apply outer batches *)
   apply_bindings : int;  (** vector mode: distinct correlation bindings evaluated *)
   apply_dedup_hits : int;  (** vector mode: outer rows that reused a binding *)
@@ -151,9 +153,9 @@ type execution = {
 
 (** Execution engine selector: [`Row] is the materializing row
     interpreter (the semantic oracle), [`Vector] the batch-at-a-time
-    columnar engine of {!Vexec}, which bridges unsupported subtrees
-    back to the row interpreter.  Both produce the same bags on every
-    plan. *)
+    columnar engine of {!Vexec}, which runs every operator natively.
+    Both produce the same bags on every plan and raise the same
+    runtime errors. *)
 type exec_mode = [ `Row | `Vector ]
 
 val exec_mode_name : exec_mode -> string

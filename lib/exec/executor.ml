@@ -35,8 +35,6 @@ type ctx = {
       (** current SegmentApply segment: outer layout and segment rows *)
   mutable apply_invocations : int;  (** statistics for tests/benches *)
   mutable rows_processed : int;
-  mutable bridge_crossings : int;
-      (** vector mode: subtrees handed to this row interpreter *)
   mutable apply_batches : int;  (** vector mode: batched-Apply outer batches *)
   mutable apply_bindings : int;  (** vector mode: distinct parameter sets evaluated *)
   mutable apply_dedup_hits : int;
@@ -63,7 +61,6 @@ let make_ctx ?budget ?faults ?metrics db =
     seg = None;
     apply_invocations = 0;
     rows_processed = 0;
-    bridge_crossings = 0;
     apply_batches = 0;
     apply_bindings = 0;
     apply_dedup_hits = 0;
@@ -95,6 +92,10 @@ let account_rows (ctx : ctx) (n : int) =
 
 let note_rows_in (ctx : ctx) (n : int) =
   match ctx.mnode with None -> () | Some node -> Metrics.add_rows_in node n
+
+(* Max1row's runtime error, raised by both engines. *)
+let max1row_violation () =
+  raise (Runtime_error "subquery returned more than one row (Max1row)")
 
 let op_fault_kind : op -> Faults.op_kind = function
   | TableScan _ | CseScan _ -> Faults.Scan
@@ -201,22 +202,11 @@ let rec eval (ctx : ctx) (env : lookup) (e : expr) : Value.t =
   | Const v -> v
   | Arith (op, a, b) ->
       let va = eval ctx env a and vb = eval ctx env b in
-      let o =
-        match op with Add -> `Add | Sub -> `Sub | Mul -> `Mul | Div -> `Div | Mod -> `Mod
-      in
-      Value.arith o va vb
+      Value.arith (arith_op op) va vb
   | Cmp (op, a, b) -> (
       match Value.cmp_sql (eval ctx env a) (eval ctx env b) with
       | None -> Value.Null
-      | Some c ->
-          Value.Bool
-            (match op with
-            | Eq -> c = 0
-            | Ne -> c <> 0
-            | Lt -> c < 0
-            | Le -> c <= 0
-            | Gt -> c > 0
-            | Ge -> c >= 0))
+      | Some c -> Value.Bool (cmp_holds op c))
   (* Kleene AND/OR over {TRUE, FALSE, UNKNOWN}; like [Not], any other
      operand type is a runtime type error (a FALSE/TRUE left operand
      still short-circuits without evaluating the right). *)
@@ -280,15 +270,7 @@ let rec eval (ctx : ctx) (env : lookup) (e : expr) : Value.t =
               raise (Runtime_error "quantified subquery must return one column");
             match Value.cmp_sql va r.(0) with
             | None -> Value.Null
-            | Some c ->
-                Value.Bool
-                  (match op with
-                  | Eq -> c = 0
-                  | Ne -> c <> 0
-                  | Lt -> c < 0
-                  | Le -> c <= 0
-                  | Gt -> c > 0
-                  | Ge -> c >= 0))
+            | Some c -> Value.Bool (cmp_holds op c))
           rows
       in
       (match quant with
@@ -437,9 +419,7 @@ and run_node (ctx : ctx) (env : lookup) (o : op) : row list =
           | _ -> true)
         lrows
   | Max1row i -> (
-      match run ctx env i with
-      | ([] | [ _ ]) as rows -> rows
-      | _ -> raise (Runtime_error "subquery returned more than one row (Max1row)"))
+      match run ctx env i with _ :: _ :: _ -> max1row_violation () | rows -> rows)
   | Rownum { input; _ } ->
       let child = run ctx env input in
       let n = List.length child in

@@ -27,8 +27,6 @@ type ctx = {
       (** current SegmentApply segment (outer layout, rows) *)
   mutable apply_invocations : int;  (** statistics for benches/tests *)
   mutable rows_processed : int;
-  mutable bridge_crossings : int;
-      (** vector mode: subtrees handed to this row interpreter *)
   mutable apply_batches : int;  (** vector mode: batched-Apply outer batches *)
   mutable apply_bindings : int;  (** vector mode: distinct parameter sets evaluated *)
   mutable apply_dedup_hits : int;
@@ -64,6 +62,10 @@ val check_budget : ctx -> unit
 
 (** Account [n] rows processed and re-check the budget. *)
 val account_rows : ctx -> int -> unit
+
+(** Raise Max1row's {!Runtime_error}: its input held more than one row.
+    Both engines raise through this one function. *)
+val max1row_violation : unit -> 'a
 
 (** The fault-injection kind an operator evaluation ticks. *)
 val op_fault_kind : Relalg.Algebra.op -> Faults.op_kind

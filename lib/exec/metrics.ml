@@ -39,9 +39,6 @@ type node = {
   mutable fast_path_hits : int;  (** Apply index-probe uses (inner tree skipped) *)
   mutable hash_build_rows : int;  (** hash-join build rows / aggregation groups *)
   mutable batches : int;  (** vectorized batches produced (vector mode) *)
-  mutable bridge_crossings : int;
-      (** times the vectorized engine handed this subtree to the row
-          interpreter and converted the rows back into batches *)
   mutable apply_batches : int;  (** outer batches processed by batched Apply *)
   mutable apply_bindings : int;  (** distinct correlation-parameter sets evaluated *)
   mutable apply_dedup_hits : int;
@@ -80,7 +77,6 @@ let create (plan : op) : t =
         fast_path_hits = 0;
         hash_build_rows = 0;
         batches = 0;
-        bridge_crossings = 0;
         apply_batches = 0;
         apply_bindings = 0;
         apply_dedup_hits = 0;
@@ -106,7 +102,6 @@ let add_rows_in (n : node) (k : int) = n.rows_in <- n.rows_in + k
 let add_fast_hit (n : node) = n.fast_path_hits <- n.fast_path_hits + 1
 let add_hash_build (n : node) (k : int) = n.hash_build_rows <- n.hash_build_rows + k
 let add_batch (n : node) = n.batches <- n.batches + 1
-let add_bridge (n : node) = n.bridge_crossings <- n.bridge_crossings + 1
 
 let add_apply_batch (n : node) ~(bindings : int) ~(dedup_hits : int) =
   n.apply_batches <- n.apply_batches + 1;
@@ -146,8 +141,6 @@ let render ?(times = true) (root : node) : string =
         | Some s -> Buffer.add_string buf (Printf.sprintf " sel=%.2f" s)
         | None -> ()
       end;
-      if n.bridge_crossings > 0 then
-        Buffer.add_string buf (Printf.sprintf " bridged=%d" n.bridge_crossings);
       if n.apply_batches > 0 then
         Buffer.add_string buf
           (Printf.sprintf " apply-batches=%d bindings=%d dedup-hits=%d" n.apply_batches
@@ -164,10 +157,10 @@ let render ?(times = true) (root : node) : string =
 
 let rec to_json (n : node) : string =
   Printf.sprintf
-    "{\"op\":%s,\"invocations\":%d,\"rows_in\":%d,\"rows_out\":%d,\"elapsed_s\":%.6f,\"fast_path_hits\":%d,\"hash_build_rows\":%d,\"batches\":%d,\"bridge_crossings\":%d,\"apply_batches\":%d,\"apply_bindings\":%d,\"apply_dedup_hits\":%d%s,\"children\":[%s]}"
+    "{\"op\":%s,\"invocations\":%d,\"rows_in\":%d,\"rows_out\":%d,\"elapsed_s\":%.6f,\"fast_path_hits\":%d,\"hash_build_rows\":%d,\"batches\":%d,\"apply_batches\":%d,\"apply_bindings\":%d,\"apply_dedup_hits\":%d%s,\"children\":[%s]}"
     (Json.string (Lazy.force n.label)) n.invocations n.rows_in n.rows_out n.elapsed_s
-    n.fast_path_hits n.hash_build_rows n.batches n.bridge_crossings n.apply_batches
-    n.apply_bindings n.apply_dedup_hits
+    n.fast_path_hits n.hash_build_rows n.batches n.apply_batches n.apply_bindings
+    n.apply_dedup_hits
     (match selectivity n with
     | Some s when n.batches > 0 -> Printf.sprintf ",\"selectivity\":%.4f" s
     | _ -> "")

@@ -23,9 +23,6 @@ type node = {
   mutable fast_path_hits : int;  (** Apply index-probe uses (inner tree skipped) *)
   mutable hash_build_rows : int;  (** hash-join build rows / aggregation groups *)
   mutable batches : int;  (** vectorized batches produced (vector mode) *)
-  mutable bridge_crossings : int;
-      (** times the vectorized engine handed this subtree to the row
-          interpreter and converted the rows back into batches *)
   mutable apply_batches : int;  (** outer batches processed by batched Apply *)
   mutable apply_bindings : int;  (** distinct correlation-parameter sets evaluated *)
   mutable apply_dedup_hits : int;
@@ -51,10 +48,6 @@ val add_hash_build : node -> int -> unit
 
 (** One vectorized batch produced by the operator. *)
 val add_batch : node -> unit
-
-(** One batch↔row bridge crossing (vector mode fell back to the row
-    interpreter for this subtree). *)
-val add_bridge : node -> unit
 
 (** One batched-Apply outer batch: [bindings] distinct
     correlation-parameter sets evaluated, [dedup_hits] outer rows that

@@ -39,16 +39,7 @@ let rec const_fold (e : expr) : expr =
   | Cmp (op, a, b) -> (
       match const_fold a, const_fold b with
       | Const x, Const y when not (Value.is_null x || Value.is_null y) ->
-          let c = Value.compare x y in
-          Const
-            (Value.Bool
-               (match op with
-               | Eq -> c = 0
-               | Ne -> c <> 0
-               | Lt -> c < 0
-               | Le -> c <= 0
-               | Gt -> c > 0
-               | Ge -> c >= 0))
+          Const (Value.Bool (cmp_holds op (Value.compare x y)))
       | a', b' -> if a' == a && b' == b then e else Cmp (op, a', b'))
   | e -> e
 

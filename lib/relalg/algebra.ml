@@ -12,6 +12,21 @@
 
 type cmpop = Eq | Ne | Lt | Le | Gt | Ge
 type arithop = Add | Sub | Mul | Div | Mod
+
+(* [Value.arith]'s operator for an [arithop]. *)
+let arith_op = function Add -> `Add | Sub -> `Sub | Mul -> `Mul | Div -> `Div | Mod -> `Mod
+
+(* Does comparison outcome [n] (negative, zero, positive, as returned by
+   [Value.compare]/[Value.cmp_sql]) satisfy [op]? *)
+let cmp_holds op n =
+  match op with
+  | Eq -> n = 0
+  | Ne -> n <> 0
+  | Lt -> n < 0
+  | Le -> n <= 0
+  | Gt -> n > 0
+  | Ge -> n >= 0
+
 type quant = Any | All
 
 (* Join variants.  [Semi]/[Anti] are the left semijoin / antijoin of the

@@ -12,6 +12,14 @@
 
 type cmpop = Eq | Ne | Lt | Le | Gt | Ge
 type arithop = Add | Sub | Mul | Div | Mod
+
+(** [Value.arith]'s operator for an [arithop]. *)
+val arith_op : arithop -> [ `Add | `Sub | `Mul | `Div | `Mod ]
+
+(** Does comparison outcome [n] (negative, zero, positive, as returned
+    by [Value.compare]/[Value.cmp_sql]) satisfy [op]? *)
+val cmp_holds : cmpop -> int -> bool
+
 type quant = Any | All
 
 (** Join variants.  [Semi]/[Anti] are the left semijoin / antijoin of

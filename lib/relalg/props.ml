@@ -159,22 +159,6 @@ let rec const_bindings (o : op) : Value.t Col.IdMap.t =
 
 type verdict = Contradiction | Tautology | Unknown
 
-let arith_op = function
-  | Add -> `Add
-  | Sub -> `Sub
-  | Mul -> `Mul
-  | Div -> `Div
-  | Mod -> `Mod
-
-let cmp_holds op n =
-  match op with
-  | Eq -> n = 0
-  | Ne -> n <> 0
-  | Lt -> n < 0
-  | Le -> n <= 0
-  | Gt -> n > 0
-  | Ge -> n >= 0
-
 (* Constant folding with three-valued logic; [None] = not statically
    known.  [consts] supplies column values proven by the input. *)
 let rec eval_const (consts : Value.t Col.IdMap.t) (e : expr) : Value.t option =

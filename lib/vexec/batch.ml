@@ -35,11 +35,6 @@ let is_iota sel =
   let rec go i = i >= n || (sel.(i) = i && go (i + 1)) in
   go 0
 
-let empty schema = { schema; cols = [||]; sel = [||] }
-
-let of_cols (schema : Col.t list) (cols : Value.t array array) (sel : int array) : t =
-  { schema; cols = Array.map Lazy.from_val cols; sel }
-
 (* Row-major -> batch (dense). *)
 let of_rows (schema : Col.t list) (rows : Value.t array list) : t =
   let n = List.length rows in
@@ -51,19 +46,7 @@ let of_rows (schema : Col.t list) (rows : Value.t array list) : t =
         cols.(c).(i) <- r.(c)
       done)
     rows;
-  of_cols schema cols (iota n)
-
-(* Row-major -> batch with per-column lazy extraction: a wide row set
-   crossing into the columnar engine only transposes the columns the
-   consumers actually read. *)
-let of_rows_lazy (schema : Col.t list) (rows : Value.t array list) : t =
-  let rows = Array.of_list rows in
-  let n = Array.length rows in
-  let cols =
-    Array.init (List.length schema) (fun c ->
-        lazy (Array.map (fun (r : Value.t array) -> r.(c)) rows))
-  in
-  { schema; cols; sel = iota n }
+  { schema; cols = Array.map Lazy.from_val cols; sel = iota n }
 
 (* One logical row (slot index into the selection vector). *)
 let row b slot : Value.t array =

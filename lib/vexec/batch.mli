@@ -18,15 +18,7 @@ type t = {
 val length : t -> int
 
 val iota : int -> int array
-val empty : Relalg.Col.t list -> t
-
-(** Wrap eager physical columns (shared, not copied). *)
-val of_cols : Relalg.Col.t list -> Relalg.Value.t array array -> int array -> t
-
 val of_rows : Relalg.Col.t list -> Relalg.Value.t array list -> t
-
-(** Like {!of_rows}, but each column transposes lazily on first read. *)
-val of_rows_lazy : Relalg.Col.t list -> Relalg.Value.t array list -> t
 
 (** One logical row, by slot index into the selection vector. *)
 val row : t -> int -> Relalg.Value.t array

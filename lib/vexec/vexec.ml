@@ -18,12 +18,14 @@
    each Apply variant (cross/outer/semi/anti, SegmentApply's
    per-segment grouping).
 
-   Coverage is per node: any subtree rooted at an operator this engine
-   does not vectorize (Max1row, Rownum,
-   subquery-bearing expressions) is handed to the row interpreter
-   wholesale and its rows converted back into batches — the bridge
-   keeps the two engines bag-identical on every plan while letting the
-   vectorized operators carry the decorrelated fast paths.
+   Every operator runs natively.  Max1row drains its child and raises
+   the row engine's error on a second row; Rownum numbers rows across
+   batch boundaries in emission order.  An operator expression with a
+   relational child (scalar subquery, EXISTS, IN, quantified
+   comparison) is evaluated row by row through the row engine's [eval]
+   over a lookup into the batch, so its laziness (CASE branches,
+   AND/OR) and its runtime errors match row mode exactly; every other
+   expression evaluates column-wise.
 
    Budget accounting and fault injection run at batch granularity:
    every pull of every compiled operator ticks the operator's fault
@@ -47,18 +49,6 @@ let runtime_error fmt = Printf.ksprintf (fun s -> raise (Ex.Runtime_error s)) fm
 (* ------------------------------------------------------------------ *)
 (* Column-wise scalar evaluation                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Expressions the columnar evaluator covers: everything except the
-   binder-only scalar operators with relational children. *)
-let rec vectorizable_expr = function
-  | ColRef _ | Const _ -> true
-  | Arith (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-      vectorizable_expr a && vectorizable_expr b
-  | Not a | IsNull a | Like (a, _) -> vectorizable_expr a
-  | Case (branches, els) ->
-      List.for_all (fun (c, v) -> vectorizable_expr c && vectorizable_expr v) branches
-      && (match els with Some e -> vectorizable_expr e | None -> true)
-  | Subquery _ | Exists _ | InSub _ | QuantCmp _ -> false
 
 let positions (schema : Col.t list) : (int, int) Hashtbl.t =
   let h = Hashtbl.create (List.length schema * 2) in
@@ -93,29 +83,14 @@ let rec eval_cols (b : Batch.t) (pos : (int, int) Hashtbl.t) (e : expr) : Value.
   | Const v -> Array.make n v
   | Arith (op, x, y) ->
       let vx = eval_cols b pos x and vy = eval_cols b pos y in
-      let o =
-        match op with
-        | Add -> `Add
-        | Sub -> `Sub
-        | Mul -> `Mul
-        | Div -> `Div
-        | Mod -> `Mod
-      in
+      let o = arith_op op in
       Array.init n (fun i -> Value.arith o vx.(i) vy.(i))
   | Cmp (op, x, y) ->
       let vx = eval_cols b pos x and vy = eval_cols b pos y in
       Array.init n (fun i ->
           match Value.cmp_sql vx.(i) vy.(i) with
           | None -> Value.Null
-          | Some c ->
-              Value.Bool
-                (match op with
-                | Eq -> c = 0
-                | Ne -> c <> 0
-                | Lt -> c < 0
-                | Le -> c <= 0
-                | Gt -> c > 0
-                | Ge -> c >= 0))
+          | Some c -> Value.Bool (cmp_holds op c))
   | And (x, y) ->
       let vx = eval_cols b pos x and vy = eval_cols b pos y in
       Array.init n (fun i -> kleene_and vx.(i) vy.(i))
@@ -154,7 +129,8 @@ let rec eval_cols (b : Batch.t) (pos : (int, int) Hashtbl.t) (e : expr) : Value.
           in
           go vbranches)
   | Subquery _ | Exists _ | InSub _ | QuantCmp _ ->
-      runtime_error "vectorized eval reached a subquery expression"
+      (* [expr_eval] routes these row by row *)
+      runtime_error "column-wise eval reached a subquery expression"
 
 (* Predicate evaluation straight to keep flags, skipping the boxed
    [Value.Bool] intermediates: a filter keeps exactly the TRUE rows, so
@@ -172,14 +148,7 @@ let rec eval_flags (b : Batch.t) (pos : (int, int) Hashtbl.t) (e : expr) : bool 
       Array.init n (fun i ->
           match Value.cmp_sql vx.(i) vy.(i) with
           | None -> false
-          | Some c -> (
-              match op with
-              | Eq -> c = 0
-              | Ne -> c <> 0
-              | Lt -> c < 0
-              | Le -> c <= 0
-              | Gt -> c > 0
-              | Ge -> c >= 0))
+          | Some c -> cmp_holds op c)
   | And (x, y) ->
       (* batch-level short-circuit: evaluate [y] only on rows surviving
          [x] — the row engine's lazy AND, column-at-a-time, so a cheap
@@ -224,30 +193,28 @@ let rec eval_flags (b : Batch.t) (pos : (int, int) Hashtbl.t) (e : expr) : bool 
       let vx = eval_cols b pos e in
       Array.map (function Value.Bool true -> true | _ -> false) vx
 
-(* ------------------------------------------------------------------ *)
-(* Coverage                                                           *)
-(* ------------------------------------------------------------------ *)
+(* An operator expression is compiled once, on the whole expression:
+   one with a relational child runs row by row through the row engine's
+   [eval] over a lookup into the batch, so CASE branches and AND/OR
+   stay lazy and a guarded subquery that would raise never runs; every
+   other expression runs column-wise.  Never split per sub-expression:
+   [eval_flags]'s batch-level AND skips the right conjunct on rows
+   whose left conjunct is NULL, where the row engine still evaluates
+   it. *)
+let per_row (b : Batch.t) (pos : (int, int) Hashtbl.t) (f : Ex.lookup -> 'a) : 'a array =
+  Array.init (Batch.length b) (fun s ->
+      let i = b.Batch.sel.(s) in
+      f (fun id ->
+          Option.map (fun c -> (Lazy.force b.Batch.cols.(c)).(i)) (Hashtbl.find_opt pos id)))
 
-(* Node-local coverage check; a node whose own shape the engine cannot
-   vectorize routes its whole subtree over the bridge.  Joins with an
-   equi-conjunct take the hash path; cross and pure theta joins run as
-   a batch nested loop. *)
-let node_supported (o : op) : bool =
-  match o with
-  | TableScan _ | ConstTable _ | CseScan _ | UnionAll _ | Except _ -> true
-  | Select (p, _) -> vectorizable_expr p
-  | Project (projs, _) -> List.for_all (fun (p : proj) -> vectorizable_expr p.expr) projs
-  | Join { pred; _ } -> vectorizable_expr pred
-  | GroupBy { aggs; _ } | LocalGroupBy { aggs; _ } | ScalarAgg { aggs; _ } ->
-      List.for_all
-        (fun (a : agg) ->
-          match agg_input_expr a.fn with
-          | None -> true
-          | Some e -> vectorizable_expr e)
-        aggs
-  | Apply { pred; _ } -> vectorizable_expr pred
-  | SegmentApply _ | SegmentHole _ -> true
-  | Max1row _ | Rownum _ -> false
+let expr_eval (v : vctx) (e : expr) : Batch.t -> (int, int) Hashtbl.t -> Value.t array =
+  if Relalg.Expr.has_subquery e then fun b pos -> per_row b pos (fun env -> Ex.eval v.ctx env e)
+  else fun b pos -> eval_cols b pos e
+
+let pred_eval (v : vctx) (p : expr) : Batch.t -> (int, int) Hashtbl.t -> bool array =
+  if Relalg.Expr.has_subquery p then fun b pos ->
+    per_row b pos (fun env -> Ex.eval_pred v.ctx env p)
+  else fun b pos -> eval_flags b pos p
 
 (* ------------------------------------------------------------------ *)
 (* Growable int arrays (join pair collection)                         *)
@@ -320,34 +287,6 @@ let consuming (node : Metrics.node option) (src : source) : source =
         r
 
 (* ------------------------------------------------------------------ *)
-(* Bridge: unsupported subtree -> row interpreter -> batches          *)
-(* ------------------------------------------------------------------ *)
-
-let bridge (v : vctx) (o : op) : source =
-  let node = metrics_node v o in
-  let schema = Op.schema o in
-  let state = ref None in
-  fun () ->
-    let remaining =
-      match !state with
-      | Some bs -> bs
-      | None ->
-          (match node with Some nd -> Metrics.add_bridge nd | None -> ());
-          v.ctx.Ex.bridge_crossings <- v.ctx.Ex.bridge_crossings + 1;
-          (* The row interpreter does its own fault/budget/metrics
-             accounting for the whole subtree. *)
-          let rows = Ex.run v.ctx Ex.empty_lookup o in
-          Batch.chunks ~size:v.batch_size (Batch.of_rows_lazy schema rows)
-    in
-    match remaining with
-    | [] ->
-        state := Some [];
-        None
-    | b :: rest ->
-        state := Some rest;
-        Some b
-
-(* ------------------------------------------------------------------ *)
 (* Operator compilation                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -378,12 +317,12 @@ let key_gather (b : Batch.t) (pos : (int, int) Hashtbl.t) (keys : Col.t list) :
       | None -> runtime_error "grouping column missing: %s" c.Col.name)
     keys
 
-(* Aggregate input columns, pre-evaluated once per mega-batch. *)
-let agg_inputs (b : Batch.t) (pos : (int, int) Hashtbl.t) (aggs : agg list) :
-    Value.t array option list =
-  List.map
-    (fun (a : agg) -> Option.map (eval_cols b pos) (agg_input_expr a.fn))
-    aggs
+(* Aggregate input evaluators; each input column is evaluated once per
+   mega-batch. *)
+let agg_inputs (v : vctx) (aggs : agg list) :
+    Batch.t -> (int, int) Hashtbl.t -> Value.t array option list =
+  let evals = List.map (fun (a : agg) -> Option.map (expr_eval v) (agg_input_expr a.fn)) aggs in
+  fun b pos -> List.map (Option.map (fun f -> f b pos)) evals
 
 (* Hash table keyed on a single value — the dominant single-column
    grouping/join-key case skips the per-row key-list allocation of the
@@ -810,43 +749,37 @@ let run_rewrite (v : vctx) (rw : apply_rewrite) (ng : int) (env_of : int -> Ex.l
                matched))
 
 let rec compile (v : vctx) (o : op) : source =
-  if not (node_supported o) then bridge v o
-  else begin
-    let node = metrics_node v o in
-    let src =
-      match o with
-      | TableScan { table; cols } -> compile_scan v table cols
-      | ConstTable { cols; rows } ->
-          emit (fun () -> Batch.chunks ~size:v.batch_size (Batch.of_rows cols rows))
-      | CseScan { id; cols; _ } ->
-          emit (fun () ->
-              let rows =
-                match v.ctx.Ex.cse with
-                | None -> runtime_error "CseScan without a CSE store: %s" id
-                | Some fetch -> fetch id
-              in
-              Ex.account_rows v.ctx (List.length rows);
-              Batch.chunks ~size:v.batch_size (Batch.of_rows cols rows))
-      | Select (p, i) -> compile_select v node p i
-      | Project (projs, i) -> compile_project v node projs i
-      | Join { kind; pred; left; right } -> compile_join v node kind pred left right
-      | GroupBy { keys; aggs; input } | LocalGroupBy { keys; aggs; input } ->
-          compile_group_by v node keys aggs input
-      | ScalarAgg { aggs; input } -> compile_scalar_agg v node aggs input
-      | UnionAll (l, r) -> compile_union v node (Op.schema o) l r
-      | Except (l, r) -> compile_except v node l r
-      | Apply { kind; pred; left; right } -> compile_apply v node kind pred left right
-      | SegmentApply { seg_cols; outer; inner } ->
-          compile_segment_apply v node seg_cols outer inner
-      | SegmentHole { cols; src } -> compile_segment_hole v cols src
-      | Max1row _ | Rownum _ ->
-          (* node_supported routes these to the bridge; reaching here is
-             a coverage bug, but one the service can degrade from *)
-          runtime_error "vectorized compile reached unsupported operator: %s"
-            (Relalg.Pp.label o)
-    in
-    instrument v o node src
-  end
+  let node = metrics_node v o in
+  let src =
+    match o with
+    | TableScan { table; cols } -> compile_scan v table cols
+    | ConstTable { cols; rows } ->
+        emit (fun () -> Batch.chunks ~size:v.batch_size (Batch.of_rows cols rows))
+    | CseScan { id; cols; _ } ->
+        emit (fun () ->
+            let rows =
+              match v.ctx.Ex.cse with
+              | None -> runtime_error "CseScan without a CSE store: %s" id
+              | Some fetch -> fetch id
+            in
+            Ex.account_rows v.ctx (List.length rows);
+            Batch.chunks ~size:v.batch_size (Batch.of_rows cols rows))
+    | Select (p, i) -> compile_select v node p i
+    | Project (projs, i) -> compile_project v node projs i
+    | Join { kind; pred; left; right } -> compile_join v node kind pred left right
+    | GroupBy { keys; aggs; input } | LocalGroupBy { keys; aggs; input } ->
+        compile_group_by v node keys aggs input
+    | ScalarAgg { aggs; input } -> compile_scalar_agg v node aggs input
+    | UnionAll (l, r) -> compile_union v node (Op.schema o) l r
+    | Except (l, r) -> compile_except v node l r
+    | Apply { kind; pred; left; right } -> compile_apply v node kind pred left right
+    | SegmentApply { seg_cols; outer; inner } ->
+        compile_segment_apply v node seg_cols outer inner
+    | SegmentHole { cols; src } -> compile_segment_hole v cols src
+    | Max1row i -> compile_max1row v node i
+    | Rownum { out; input } -> compile_rownum v node out input
+  in
+  instrument v o node src
 
 (* Scan: batches alias the table's columnar cache; only the selection
    vector is fresh per batch. *)
@@ -875,11 +808,12 @@ and compile_scan (v : vctx) (table : string) (cols : Col.t list) : source =
 and compile_select (v : vctx) node (p : expr) (i : op) : source =
   let child = consuming node (compile v i) in
   let pos = positions (Op.schema i) in
+  let pred = pred_eval v p in
   fun () ->
     match child () with
     | None -> None
     | Some b ->
-        let flags = eval_flags b pos p in
+        let flags = pred b pos in
         let n = Batch.length b in
         let keep = Array.make n 0 in
         let k = ref 0 in
@@ -924,18 +858,14 @@ and compile_project (v : vctx) node (projs : proj list) (i : op) : source =
           in
           Some { Batch.schema; cols; sel = b.Batch.sel }
   else
+    let evals = List.map (fun (p : proj) -> expr_eval v p.expr) projs in
     fun () ->
       match child () with
       | None -> None
       | Some b ->
           (* eager: computed projections evaluate now, like the row
              engine, so runtime errors surface at the same point *)
-          let cols =
-            Array.of_list
-              (List.map
-                 (fun (p : proj) -> Lazy.from_val (eval_cols b pos p.expr))
-                 projs)
-          in
+          let cols = Array.of_list (List.map (fun f -> Lazy.from_val (f b pos)) evals) in
           Some { Batch.schema; cols; sel = Batch.iota (Batch.length b) }
 
 (* Hash join.  Both inputs are drained into dense batches; keys are
@@ -948,16 +878,18 @@ and compile_join (v : vctx) node (kind : join_kind) (pred : expr) (left : op) (r
   let lsrc = consuming node (compile v left) in
   let rsrc = consuming node (compile v right) in
   let lschema = Op.schema left and rschema = Op.schema right in
+  let equi, residual =
+    Ex.split_equi_conjuncts pred (Col.Set.of_list lschema) (Col.Set.of_list rschema)
+  in
+  let keys = List.map (fun (ae, be) -> (expr_eval v ae, expr_eval v be)) equi in
+  let residual_pred = pred_eval v (conj_list residual) in
   emit (fun () ->
       let lb = drain lschema lsrc and rb = drain rschema rsrc in
       let lpos = positions lschema and rpos = positions rschema in
-      let equi, residual =
-        Ex.split_equi_conjuncts pred (Col.Set.of_list lschema) (Col.Set.of_list rschema)
-      in
       let nr = Batch.length rb and nl = Batch.length lb in
       let built = ref 0 in
       let pls = Ints.create () and prs = Ints.create () in
-      (match equi with
+      (match keys with
       | [] ->
           (* no equi-conjunct (cross or pure theta join): every (l, r)
              pair, with the whole predicate as residual — the row
@@ -968,9 +900,9 @@ and compile_join (v : vctx) node (kind : join_kind) (pred : expr) (left : op) (r
               Ints.push prs t
             done
           done
-      | [ (ae, be) ] -> (
-          let rkey = eval_cols rb rpos be in
-          let lkey = eval_cols lb lpos ae in
+      | [ (lkey_of, rkey_of) ] -> (
+          let rkey = rkey_of rb rpos in
+          let lkey = lkey_of lb lpos in
           match
             (int_key_view ~nulls_ok:true rkey, int_key_view ~nulls_ok:true lkey)
           with
@@ -1029,7 +961,7 @@ and compile_join (v : vctx) node (kind : join_kind) (pred : expr) (left : op) (r
               done)
       | _ ->
           (* build side: right *)
-          let rkeys = List.map (fun (_, be) -> eval_cols rb rpos be) equi in
+          let rkeys = List.map (fun (_, rkey_of) -> rkey_of rb rpos) keys in
           let build = Ex.VTbl.create (max 16 (2 * nr)) in
           for s = 0 to nr - 1 do
             let key = List.map (fun kc -> kc.(s)) rkeys in
@@ -1040,7 +972,7 @@ and compile_join (v : vctx) node (kind : join_kind) (pred : expr) (left : op) (r
             end
           done;
           (* probe side: left *)
-          let lkeys = List.map (fun (ae, _) -> eval_cols lb lpos ae) equi in
+          let lkeys = List.map (fun (lkey_of, _) -> lkey_of lb lpos) keys in
           for s = 0 to nl - 1 do
             let key = List.map (fun kc -> kc.(s)) lkeys in
             if not (List.exists Value.is_null key) then
@@ -1065,7 +997,7 @@ and compile_join (v : vctx) node (kind : join_kind) (pred : expr) (left : op) (r
         | _ ->
             let combined = combined_of pls prs in
             let cpos = positions (lschema @ rschema) in
-            let flags = eval_flags combined cpos (conj_list residual) in
+            let flags = residual_pred combined cpos in
             let keep = Ints.create () in
             Array.iteri (fun s f -> if f then Ints.push keep s) flags;
             let keep = Ints.to_array keep in
@@ -1114,13 +1046,14 @@ and compile_group_by (v : vctx) node (keys : Col.t list) (aggs : agg list) (inpu
     source =
   let child = consuming node (compile v input) in
   let ischema = Op.schema input in
+  let inputs_of = agg_inputs v aggs in
   emit (fun () ->
       let mb = drain ischema child in
       let pos = positions ischema in
       let n = Batch.length mb in
       let gidx, ng, key_out = group_indices (key_gather mb pos keys) n in
       (match node with Some nd -> Metrics.add_hash_build nd ng | None -> ());
-      let inputs = agg_inputs mb pos aggs in
+      let inputs = inputs_of mb pos in
       let agg_out =
         List.map2
           (fun (a : agg) input -> agg_grouped a.fn input gidx ng n)
@@ -1136,6 +1069,7 @@ and compile_group_by (v : vctx) node (keys : Col.t list) (aggs : agg list) (inpu
 and compile_scalar_agg (v : vctx) node (aggs : agg list) (input : op) : source =
   let child = consuming node (compile v input) in
   let ischema = Op.schema input in
+  let inputs_of = agg_inputs v aggs in
   emit (fun () ->
       let mb = drain ischema child in
       let pos = positions ischema in
@@ -1146,7 +1080,7 @@ and compile_scalar_agg (v : vctx) node (aggs : agg list) (input : op) : source =
         else begin
           (* one group spanning every row: reuse the grouped kernels *)
           let gidx = Array.make n 0 in
-          let inputs = agg_inputs mb pos aggs in
+          let inputs = inputs_of mb pos in
           Array.of_list
             (List.map2
                (fun (a : agg) input -> (agg_grouped a.fn input gidx 1 n).(0))
@@ -1242,6 +1176,7 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
   let nparams = Array.length param_ids in
   let rewrite = if nparams = 0 then None else detect_apply_rewrite v right in
   let true_pred = is_true_const pred in
+  let pred_of = pred_eval v pred in
   let cpos = lazy (positions out_schema) in
   let ctx = v.ctx in
   (* hoist the probe-path cache lookup out of the per-binding loop —
@@ -1449,7 +1384,7 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
                   sel = Batch.iota npairs
                 }
               in
-              eval_flags combined (Lazy.force cpos) pred
+              pred_of combined (Lazy.force cpos)
             end
           in
           let kept p = true_pred || flags.(p) in
@@ -1518,6 +1453,36 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
             end)
   in
   pull
+
+(* Max1row: drain the child; a second row raises the row engine's
+   error, otherwise the (at most one) row passes through. *)
+and compile_max1row (v : vctx) node (i : op) : source =
+  let child = consuming node (compile v i) in
+  let schema = Op.schema i in
+  emit (fun () ->
+      let b = drain schema child in
+      if Batch.length b > 1 then Ex.max1row_violation ();
+      Batch.chunks ~size:v.batch_size b)
+
+(* Rownum: stream the child, appending an Int column numbered 1..n
+   across batch boundaries in emission order. *)
+and compile_rownum (v : vctx) node (out : Col.t) (i : op) : source =
+  let child = consuming node (compile v i) in
+  let ischema = Op.schema i in
+  let arity = List.length ischema in
+  let schema = ischema @ [ out ] in
+  let next = ref 1 in
+  fun () ->
+    match child () with
+    | None -> None
+    | Some b ->
+        let n = Batch.length b and base = !next in
+        next := base + n;
+        (* densify lazily, so the new column lines up with the others *)
+        let d = Batch.take b (Batch.iota n) in
+        let nums = lazy (Array.init n (fun s -> Value.Int (base + s))) in
+        let cols = Array.append (Array.sub d.Batch.cols 0 arity) [| nums |] in
+        Some { d with Batch.schema; cols }
 
 (* SegmentApply: drain the outer, partition by the segment columns
    (first-seen order, like the row engine), run the inner once per
@@ -1621,17 +1586,3 @@ let run ?(batch_size = default_batch_size) (ctx : Ex.ctx) (o : op) : Ex.row list
     match src () with None -> List.concat (List.rev acc) | Some b -> go (Batch.to_rows b :: acc)
   in
   go []
-
-(* Fraction of plan nodes the vectorized engine runs natively (the
-   rest cross the bridge); EXPLAIN-side diagnostics and tests. *)
-let coverage (o : op) : int * int =
-  let native = ref 0 and bridged = ref 0 in
-  let rec go o =
-    if node_supported o then begin
-      incr native;
-      List.iter go (Op.children o)
-    end
-    else bridged := !bridged + 1
-  in
-  go o;
-  (!native, !bridged)

@@ -1,43 +1,31 @@
 (** Batch-at-a-time columnar executor over optimized plans.
 
     Operators pull {!Batch.t} values (full columns plus a selection
-    vector) through compiled pipelines; scalar expressions evaluate
-    column-wise with the row interpreter's exact semantics.  Apply and
-    SegmentApply run natively as batched nested iteration: the outer
-    batch's correlation-parameter tuples are deduplicated and the inner
-    plan is evaluated once per distinct binding (or rewritten at exec
-    time into one hash-probe pass when the inner is a non-indexed
-    filtered scan), then the results are scattered back under each
-    variant's bag semantics.  Subtrees the engine does not vectorize
-    (Max1row, Rownum, subquery-bearing expressions) are
-    executed by the row interpreter and bridged back into batches, so
-    every plan runs in either mode with bag-identical results — the
-    row engine remains the semantic oracle.
+    vector) through compiled pipelines, and every operator runs
+    natively.  Scalar expressions evaluate column-wise with the row
+    interpreter's exact semantics; an operator expression with a
+    relational child (scalar subquery, EXISTS, IN, quantified
+    comparison) is evaluated row by row through the row interpreter's
+    [eval], so its laziness and runtime errors match row mode.  Max1row
+    raises the row engine's error on a second row; Rownum numbers rows
+    in emission order.  Apply and SegmentApply run as batched nested
+    iteration: the outer batch's correlation-parameter tuples are
+    deduplicated and the inner plan is evaluated once per distinct
+    binding (or rewritten at exec time into one hash-probe pass when
+    the inner is a non-indexed filtered scan), then the results are
+    scattered back under each variant's bag semantics.  Every plan
+    returns the row engine's bag — the row engine remains the semantic
+    oracle.
 
     Budget accounting and fault injection tick per batch per operator;
-    metrics record batches produced and bridge crossings alongside the
-    row-mode counters, so EXPLAIN ANALYZE covers both modes. *)
+    metrics record batches produced alongside the row-mode counters, so
+    EXPLAIN ANALYZE covers both modes. *)
 
 module Batch = Batch
-
-open Relalg.Algebra
-
-(** Dense slot-indexed column-wise evaluation of an expression over a
-    batch, given a schema position table (column id -> column index). *)
-val eval_cols :
-  Batch.t -> (int, int) Hashtbl.t -> expr -> Relalg.Value.t array
-
-(** [true] when the expression contains no relational children. *)
-val vectorizable_expr : expr -> bool
-
-(** Node-local coverage: can this operator itself run vectorized? *)
-val node_supported : op -> bool
-
-(** (native nodes, bridged subtrees) for a plan. *)
-val coverage : op -> int * int
 
 val default_batch_size : int
 
 (** Execute a plan, returning rows positionally per [Op.schema] —
     interchangeable with [Exec.Executor.run ctx empty_lookup]. *)
-val run : ?batch_size:int -> Exec.Executor.ctx -> op -> Exec.Executor.row list
+val run :
+  ?batch_size:int -> Exec.Executor.ctx -> Relalg.Algebra.op -> Exec.Executor.row list

@@ -333,6 +333,96 @@ let test_segment_apply_batch_boundaries () =
         db (mk_plan ()))
     [ 1; 2; 3; 4; 1024 ]
 
+(* --- Max1row, Rownum and subquery expressions ------------------------ *)
+
+(* Hand-written SQL shapes that once sent subtrees to the row engine:
+   each must give the row engine's bag in vector mode, or raise the
+   row engine's runtime error, under every optimizer config. *)
+let tpch = lazy (Datagen.Tpch_gen.database ~sf:0.002 ())
+
+let configs =
+  [ ("correlated", Optimizer.Config.correlated_only);
+    ("decorrelated", Optimizer.Config.decorrelated_only);
+    ("full", Optimizer.Config.full)
+  ]
+
+let outcome ~config ~mode sql =
+  let eng = Engine.create (Lazy.force tpch) in
+  match Engine.query ~config ~mode eng sql with
+  | r -> Ok (Engine.bag r.Exec.Executor.rows)
+  | exception Exec.Executor.Runtime_error m -> Error m
+
+let check_sql_modes ?rows msg sql =
+  List.iter
+    (fun (cname, config) ->
+      let row = outcome ~config ~mode:`Row sql and vec = outcome ~config ~mode:`Vector sql in
+      let label = Printf.sprintf "%s under %s" msg cname in
+      Alcotest.(check (result (list string) string)) label row vec;
+      match (rows, row) with
+      | Some n, Ok bag -> Alcotest.(check int) (label ^ ": rows") n (List.length bag)
+      | Some _, Error m -> Alcotest.failf "%s: unexpected runtime error %s" label m
+      | None, _ -> ())
+    configs
+
+let test_max1row_under_join () =
+  check_sql_modes ~rows:5 "uncorrelated Max1row under a join"
+    "select n_name from nation where n_regionkey = (select r_regionkey from region where \
+     r_name = 'ASIA')"
+
+let test_max1row_violation () =
+  let sql =
+    "select c_custkey from customer where c_acctbal > (select o_totalprice from orders \
+     where o_custkey = c_custkey)"
+  in
+  List.iter
+    (fun (cname, config) ->
+      Alcotest.(check (result (list string) string))
+        (Printf.sprintf "Max1row violation under %s" cname)
+        (Error "subquery returned more than one row (Max1row)")
+        (outcome ~config ~mode:`Vector sql))
+    configs;
+  check_sql_modes "Max1row violation" sql;
+  (* plan level: a second row raises, a single row passes *)
+  let db = Support.toy_db () in
+  let x = Col.fresh "x" Value.TInt in
+  let table rows = ConstTable { cols = [ x ]; rows = List.map (fun i -> [| Value.Int i |]) rows } in
+  List.iter
+    (fun bs ->
+      Alcotest.check_raises
+        (Printf.sprintf "two rows at batch size %d" bs)
+        (Exec.Executor.Runtime_error "subquery returned more than one row (Max1row)")
+        (fun () -> ignore (vec ~batch_size:bs db (Max1row (table [ 1; 2 ]))));
+      check_modes ~batch_size:bs "one row passes" db (Max1row (table [ 7 ])))
+    [ 1; 1024 ]
+
+let test_guarded_case_subquery () =
+  (* the guard is never true, so the subquery (which would raise
+     Max1row for any customer with two orders) must never run *)
+  check_sql_modes ~rows:30 "CASE-guarded scalar subquery"
+    "select c_custkey, case when c_custkey < 0 then (select o_totalprice from orders where \
+     o_custkey = c_custkey) else 0 end from customer where c_custkey <= 30"
+
+let test_rownum_across_batches () =
+  let db = Support.toy_db () in
+  let x = Col.fresh "x" Value.TInt in
+  let rn = Col.fresh "rn" Value.TInt in
+  let vals = [ 7; 9; 7; 3; 5 ] in
+  let o =
+    Rownum
+      { out = rn; input = ConstTable { cols = [ x ]; rows = List.map (fun i -> [| Value.Int i |]) vals } }
+  in
+  let expected = List.mapi (fun i v -> [ Value.Int v; Value.Int (i + 1) ]) vals in
+  List.iter
+    (fun bs ->
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "rownum numbered 1..n at batch size %d" bs)
+        (List.map (List.map Value.to_string) expected)
+        (List.map
+           (fun r -> List.map Value.to_string (Array.to_list r))
+           (vec ~batch_size:bs db o));
+      check_modes ~batch_size:bs "rownum matches the row engine" db o)
+    [ 1; 2; 1024 ]
+
 (* Regression: NDV estimates must not survive a table reload.  The
    stats cache is tagged with the table's mutation generation, so a
    load (which bumps the generation) invalidates the cached count. *)
@@ -367,5 +457,9 @@ let suite =
     Alcotest.test_case "apply: outer NULL padding" `Quick test_outer_apply_null_padding;
     Alcotest.test_case "segment apply: batch boundaries" `Quick
       test_segment_apply_batch_boundaries;
-    Alcotest.test_case "ndv tracks table generation" `Quick test_ndv_tracks_table_generation
+    Alcotest.test_case "ndv tracks table generation" `Quick test_ndv_tracks_table_generation;
+    Alcotest.test_case "max1row under a join" `Quick test_max1row_under_join;
+    Alcotest.test_case "max1row violation" `Quick test_max1row_violation;
+    Alcotest.test_case "guarded CASE subquery" `Quick test_guarded_case_subquery;
+    Alcotest.test_case "rownum across batches" `Quick test_rownum_across_batches
   ]

@@ -1,9 +1,10 @@
 (* Row-vs-vector differential smoke: `make vexec-smoke`.
 
-   Part 1 runs every bench workload under every optimizer config with
-   the vectorized engine as candidate and the row interpreter (same
-   config) as reference — any disagreement is a vexec bug, since the
-   plan is identical on both sides.
+   Part 1 runs every bench workload, plus the hand-written statements
+   in [extra_inputs], under every optimizer config with the vectorized
+   engine as candidate and the row interpreter (same config) as
+   reference — any disagreement is a vexec bug, since the plan is
+   identical on both sides.
 
    Part 2 sweeps generated queries (Testgen.Qgen) through the same
    differential in vector mode, once with the full optimizer (mostly
@@ -14,6 +15,18 @@
 
 let sf = 0.01
 let fuzz_sf = 0.002
+
+(* Shapes the bench workloads do not produce: an uncorrelated Max1row
+   under a join, and a CASE-guarded scalar subquery that would raise a
+   Max1row violation if it were evaluated eagerly. *)
+let extra_inputs =
+  [ ( "max1row-join",
+      "select n_name from nation where n_regionkey = (select r_regionkey from region \
+       where r_name = 'ASIA')" );
+    ( "case-guarded",
+      "select c_custkey, case when c_custkey < 0 then (select o_totalprice from orders \
+       where o_custkey = c_custkey) else 0 end from customer where c_custkey <= 30" )
+  ]
 
 let configs =
   [ ("correlated", Optimizer.Config.correlated_only);
@@ -51,7 +64,7 @@ let () =
             print_string (Engine.format_check_report r)
           end)
         configs)
-    Workloads.all_named;
+    (Workloads.all_named @ extra_inputs);
 
   (* part 2: generated-query sweep, vector candidate *)
   let fdb = Datagen.Tpch_gen.database ~sf:fuzz_sf () in
