@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke perf-smoke soak-smoke soak prove-rules lint-smoke clean
+.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke perf-smoke soak-smoke soak prove-rules lint-smoke plan-census clean
 
 all:
 	dune build
@@ -23,6 +23,13 @@ lint-smoke:
 
 test:
 	dune runtest
+
+# plan census: one line per Qgen statement (seeds 1-5 x 200 cases, SF
+# 0.01, plan cache off) with the chosen plan's cost, explored count and
+# plan-text MD5, then the MD5 of all lines; a planner speed-up must
+# leave the final digest unchanged (see test/plan_census_main.ml)
+plan-census:
+	dune exec test/plan_census_main.exe
 
 # fault-injection sweep across several seeds (see test/faults_main.ml)
 faults:

@@ -211,19 +211,18 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
   let add severity code node detail =
     findings := { severity; code; node; detail } :: !findings
   in
-  (* one property analysis per node, shared across the checks *)
-  let memo = Fd.create_memo () in
-  let analyze o = Fd.analyze ~env ~memo o in
-  (* per-node checks, bottom-up *)
-  let rec walk (o : op) =
-    List.iter walk (Op.children o);
+  (* per-node checks, bottom-up; the walk folds the property analysis
+     ({!Fd.step}), so each node is analysed once and every check reads
+     its node's and children's results *)
+  let rec walk (o : op) : Fd.t =
+    let kids = List.map walk (Op.children o) in
+    let fd = Fd.step ~env o kids in
     let label = Pp.label o in
     (* 0. contradictory cardinality interval: lo > hi means the node can
        never execute successfully — today this arises exactly when a
        Max1row guard sits over an input proven to hold two or more rows,
        so the plan is statically guaranteed to raise *)
-    (let fd = analyze o in
-     if Fd.contradiction fd then
+    (if Fd.contradiction fd then
        add Error "contradictory-interval" label
          (Printf.sprintf
             "inferred cardinality %s is contradictory: this operator always fails"
@@ -239,18 +238,19 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
                  (Value.ty_name ta) (Value.ty_name tb)))
           (cross_type_cmps e))
       (node_exprs o);
-    (* 2/3. predicate verdicts on filtering operators *)
-    let pred_checks pred inputs =
+    (* 2/3. predicate verdicts on filtering operators, over the facts
+       of all their inputs *)
+    let pred_checks pred =
       let nonnull =
         List.fold_left
-          (fun acc i -> Col.Set.union acc (analyze i).nonnull)
-          Col.Set.empty inputs
+          (fun acc (i : Fd.t) -> Col.Set.union acc i.nonnull)
+          Col.Set.empty kids
       in
       let consts =
         List.fold_left
           (fun acc i ->
             Col.IdMap.union (fun _ v _ -> Some v) acc (Props.const_bindings i))
-          Col.IdMap.empty inputs
+          Col.IdMap.empty (Op.children o)
       in
       match Props.pred_verdict ~nonnull ~consts pred with
       | Props.Contradiction ->
@@ -270,11 +270,11 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
       | Props.Unknown -> ()
     in
     (match o with
-    | Select (p, i) -> pred_checks p [ i ]
-    | Join { pred; left; right; _ } | Apply { pred; left; right; _ } ->
+    | Select (p, _) -> pred_checks p
+    | Join { pred; _ } | Apply { pred; _ } ->
         (* the predicate is evaluated against raw left x right pairs,
            before any outer padding, so both sides' properties apply *)
-        if not (is_true_const pred) then pred_checks pred [ left; right ]
+        if not (is_true_const pred) then pred_checks pred
     | _ -> ());
     (* 4. residual correlated operators *)
     (match o with
@@ -294,9 +294,8 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
        the grouping set is widened by the input's per-row equalities and
        constants (which hold through an Apply's inner side, where [Fd]
        keeps no dependencies) and tested again. *)
-    (match o with
-    | GroupBy { keys; input; _ } -> (
-        let fd = analyze input in
+    (match (o, kids) with
+    | GroupBy { keys; input; _ }, [ fd ] -> (
         let kset = Col.Set.of_list keys in
         match Fd.cover_chain fd kset with
         | Some (unique, chain) ->
@@ -326,17 +325,17 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
                 "grouping columns cover a key of the input: every group has exactly one row")
     | _ -> ());
     (* 6. Max1row over a provably single-row input *)
-    match o with
-    | Max1row i ->
-        let fd = analyze i in
-        if Fd.max_one fd then
+    (match (o, kids) with
+    | Max1row _, [ ki ] ->
+        if Fd.max_one ki then
           add Info "max1row-elidable" label
             (Printf.sprintf
                "input provably has at most one row (card %s); the guard can be elided"
-               (Fd.interval_to_string fd.Fd.card))
-    | _ -> ()
+               (Fd.interval_to_string ki.Fd.card))
+    | _ -> ());
+    fd
   in
-  walk plan;
+  ignore (walk plan);
   (* whole-plan checks *)
   let before = count_outerjoins plan in
   if before > 0 then begin

@@ -786,27 +786,27 @@ let format_check_report (r : check_report) : string =
    its output — cardinality interval, derived keys, FD count, the
    non-nullable column set. *)
 let plan_properties ~(env : Props.env) (plan : Algebra.op) : string =
-  let memo = Fd.create_memo () in
-  let b = Buffer.create 512 in
+  (* bottom-up, folding the property analysis; each node's line goes
+     before its children's *)
   let rec walk depth o =
-    let fd = Fd.analyze ~env ~memo o in
-    Buffer.add_string b
-      (Printf.sprintf "%s%s  %s\n"
-         (String.make (2 * depth) ' ')
-         (Pp.label o)
-         (Fd.summary fd ~schema:(Op.schema o)));
-    List.iter (walk (depth + 1)) (Op.children o)
+    let kids = List.map (walk (depth + 1)) (Op.children o) in
+    let fd = Fd.step ~env o (List.map fst kids) in
+    let line =
+      Printf.sprintf "%s%s  %s\n"
+        (String.make (2 * depth) ' ')
+        (Pp.label o)
+        (Fd.summary fd ~schema:(Op.schema o))
+    in
+    (fd, line :: List.concat_map snd kids)
   in
-  walk 0 plan;
-  Buffer.contents b
+  String.concat "" (snd (walk 0 plan))
 
 let plan_properties_json ~(env : Props.env) (plan : Algebra.op) : string =
-  let memo = Fd.create_memo () in
-  let items = ref [] in
   let rec walk depth o =
-    let fd = Fd.analyze ~env ~memo o in
+    let kids = List.map (walk (depth + 1)) (Op.children o) in
+    let fd = Fd.step ~env o (List.map fst kids) in
     let keys = Fd.derived_keys fd ~schema:(Op.schema o) in
-    items :=
+    let item =
       Printf.sprintf
         "{\"node\":%s,\"depth\":%d,\"card\":%s,\"keys\":[%s],\"fds\":%d,\"nonnull\":%s,\"contradiction\":%b}"
         (Json.string (Pp.label o))
@@ -817,11 +817,10 @@ let plan_properties_json ~(env : Props.env) (plan : Algebra.op) : string =
         (List.length fd.Fd.fds)
         (Json.string (Fd.cols_to_string fd.Fd.nonnull))
         (Fd.contradiction fd)
-      :: !items;
-    List.iter (walk (depth + 1)) (Op.children o)
+    in
+    (fd, item :: List.concat_map snd kids)
   in
-  walk 0 plan;
-  "[" ^ String.concat "," (List.rev !items) ^ "]"
+  "[" ^ String.concat "," (snd (walk 0 plan)) ^ "]"
 
 (* Cache provenance of a prepared statement, for EXPLAIN output. *)
 let plan_source (p : prepared) : string =

@@ -170,7 +170,9 @@ type t = {
   mutable next_id : int;
   mutable ema_latency_s : float;  (** recent-latency estimate for retry-after hints *)
   mutable workers : unit Domain.t list;  (** every domain spawned, for joining *)
-  mutable live : int;  (** workers currently running (spawned - died - retired) *)
+  mutable live : int;
+      (** pool size: workers started - retired; a crashed worker's
+          replacement takes its place the moment it dies *)
   breakers : (string, Breaker.t) Hashtbl.t;
   worker_seed : int Atomic.t;  (** per-worker jitter streams stay distinct *)
   stats : Stats.t;
@@ -555,12 +557,11 @@ let process (t : t) (job : job) (rng : Rng.t) : reply =
 (* Crash-only workers                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The caller has already counted the new worker in [t.live]. *)
 let rec spawn_worker (t : t) : unit =
   let seed = t.cfg.seed + (1000003 * Atomic.fetch_and_add t.worker_seed 1) in
   let d = Domain.spawn (fun () -> worker_loop t (Rng.create seed)) in
-  Mutex.protect t.lock (fun () ->
-      t.workers <- d :: t.workers;
-      t.live <- t.live + 1)
+  Mutex.protect t.lock (fun () -> t.workers <- d :: t.workers)
 
 and worker_loop (t : t) (rng : Rng.t) : unit =
   match next_job t with
@@ -600,11 +601,14 @@ and worker_loop (t : t) (rng : Rng.t) : unit =
    crash during shutdown cannot land the job in a drained queue after
    every worker — replacement included — has already retired, which
    would block its [await] forever.  On the poison path the order
-   flips: respawn before delivering the reply, so once the caller
-   observes the outcome the pool is back at size. *)
+   flips: respawn before delivering the reply.
+
+   The replacement inherits the dying worker's place in [t.live] (the
+   count never dips), so once any caller observes an outcome the pool
+   is at size — also when another worker picks the re-queued victim
+   up, crashes and poisons it before this replacement has spawned. *)
 and crash (t : t) (job : job) (ex : exn) : unit =
   let msg = Printexc.to_string ex in
-  Mutex.protect t.lock (fun () -> t.live <- t.live - 1);
   Stats.note_worker_kill t.stats;
   job.kills <- job.kills + 1;
   job.last_kill <- msg;
@@ -647,7 +651,7 @@ let create_with ?(config = default_config) (eng : Engine.t) : t =
       next_id = 1;
       ema_latency_s = 0.010;
       workers = [];
-      live = 0;
+      live = max 1 config.domains;
       breakers = Hashtbl.create 16;
       worker_seed = Atomic.make 1;
       stats = Stats.create ();

@@ -145,6 +145,59 @@ let prop_canonical =
       in
       Fingerprint.of_op (mk ()) = Fingerprint.of_op (mk ()))
 
+(* 8. cost estimation folds the property analysis ([Fd.step]) into its
+   one bottom-up walk ([Card.fold]); the facts it carries to each node
+   must be exactly [Fd.analyze] of that node -- dependencies, keys,
+   non-nullable columns, cardinality interval and output columns (which
+   must be the node's schema).  Checked on every
+   node of the normalized and the chosen plan of the adhoc statements
+   (Qgen seed 1, cases 0-47) and of a plan forced to use SegmentApply,
+   whose inner the fold walks with its own segment estimate. *)
+let fd_equal (a : Fd.t) (b : Fd.t) =
+  List.equal
+    (fun (x : Fd.fd) (y : Fd.fd) -> Col.Set.equal x.det y.det && Col.Set.equal x.dep y.dep)
+    a.fds b.fds
+  && List.equal Col.Set.equal a.uniques b.uniques
+  && Col.Set.equal a.nonnull b.nonnull
+  && a.card = b.card
+  && Col.Set.equal a.cols b.cols
+
+let check_fold_props stats (what : string) (plan : op) =
+  let env = Optimizer.Card.make_env stats plan in
+  let visited = ref 0 in
+  ignore
+    (Optimizer.Card.fold env
+       (fun o _ fd _ ->
+         incr visited;
+         if not (Col.Set.equal fd.cols (Op.schema_set o)) then
+           Alcotest.failf "%s: output columns differ from the schema at %s" what (Pp.label o);
+         if not (fd_equal fd (Fd.analyze ~env:env.props o)) then
+           Alcotest.failf "%s: fold's properties differ from Fd.analyze at %s:\n  %s\n  %s"
+             what (Pp.label o)
+             (Fd.summary fd ~schema:(Op.schema o))
+             (Fd.summary (Fd.analyze ~env:env.props o) ~schema:(Op.schema o)))
+       plan);
+  Alcotest.(check int) (what ^ ": every node visited") (Op.count_ops plan) !visited
+
+let test_fold_props_match_analyze () =
+  let db = Lazy.force Support.tpch_sf001 in
+  let eng = Engine.create db in
+  let stats = Optimizer.Stats.create db in
+  for case = 0 to 47 do
+    let p = Engine.prepare ~use_cache:false eng (Testgen.Qgen.sql_of ~seed:1 ~case) in
+    check_fold_props stats (Printf.sprintf "case %d normalized" case) p.stages.normalized;
+    check_fold_props stats (Printf.sprintf "case %d chosen" case) p.plan
+  done;
+  let has_sa = Op.exists_op (function SegmentApply _ -> true | _ -> false) in
+  let p =
+    Engine.prepare ~use_cache:false ~must:has_sa eng
+      "select sum(l_extendedprice) as s from lineitem, part \
+       where p_partkey = l_partkey and l_quantity < (select 0.5 * avg(l_quantity) \
+       from lineitem l2 where l2.l_partkey = part.p_partkey)"
+  in
+  Alcotest.(check bool) "segment apply chosen" true (has_sa p.plan);
+  check_fold_props stats "segment apply" p.plan
+
 let suite =
   [ Support.qtest prop_strict_sound;
     Support.qtest prop_strict_cols_sound;
@@ -152,5 +205,6 @@ let suite =
     Support.qtest prop_const_fold_sound;
     Support.qtest prop_dedup_sound;
     Support.qtest prop_subst_sound;
-    Support.qtest prop_canonical
+    Support.qtest prop_canonical;
+    Alcotest.test_case "Card.fold carries Fd.analyze" `Quick test_fold_props_match_analyze
   ]

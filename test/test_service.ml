@@ -59,30 +59,43 @@ let simple_sql = "select eid from emp where salary > 150"
 (* --- admission ------------------------------------------------------- *)
 
 let test_admission_rejects_at_capacity () =
-  let gate = Gate.create () in
+  let gate = Gate.create () and started = Gate.create () in
   let t = Service.create ~config:(config ~domains:1 ~max_queue:2 ()) (toy_db ()) in
-  (* the lone worker blocks on the gate; two more requests fill the queue *)
+  (* the lone worker picks the blocker up and holds it on the gate;
+     once its chaos hook has started, the blocker is in flight and no
+     longer counts against the queue *)
   let blocker =
-    Service.submit t (Service.request ~chaos:(fun () -> Gate.wait gate) simple_sql)
+    Service.submit t
+      (Service.request
+         ~chaos:(fun () ->
+           Gate.release started;
+           Gate.wait gate)
+         simple_sql)
   in
   let blocker = match blocker with Ok tk -> tk | Error _ -> Alcotest.fail "blocker shed" in
-  (* the worker may not have dequeued the blocker yet; admission capacity
-     2 means at least two of the next three submissions are rejected *)
-  let tickets = List.init 3 (fun _ -> Service.submit t (Service.request simple_sql)) in
-  let shed =
-    List.filter (function Error (Service.Overloaded _) -> true | _ -> false) tickets
+  Gate.wait started;
+  (* two more requests fill the queue to capacity ... *)
+  let fillers =
+    List.init 2 (fun _ ->
+        match Service.submit t (Service.request simple_sql) with
+        | Ok tk -> tk
+        | Error e -> Alcotest.failf "filler shed: %s" (Service.error_to_string e))
   in
-  Alcotest.(check bool) "at least 2 of 3 rejected" true (List.length shed >= 2);
-  (match shed with
-  | Error (Service.Overloaded { retry_after_s; _ }) :: _ ->
-      Alcotest.(check bool) "retry_after positive" true (retry_after_s > 0.)
-  | _ -> Alcotest.fail "expected an Overloaded rejection");
+  (* ... so each of the next three is rejected *)
+  List.iter
+    (function
+      | Error (Service.Overloaded { queue_depth; retry_after_s }) ->
+          Alcotest.(check int) "rejected at full queue" 2 queue_depth;
+          Alcotest.(check bool) "retry_after positive" true (retry_after_s > 0.)
+      | Error e -> Alcotest.failf "expected Overloaded, got %s" (Service.error_to_string e)
+      | Ok _ -> Alcotest.fail "admitted past capacity")
+    (List.init 3 (fun _ -> Service.submit t (Service.request simple_sql)));
   Gate.release gate;
   ignore (Service.await t blocker);
-  List.iter (function Ok tk -> ignore (Service.await t tk) | Error _ -> ()) tickets;
+  List.iter (fun tk -> ignore (Service.await t tk)) fillers;
   let s = Service.stats t in
-  Alcotest.(check bool) "sheds counted" true (s.Service.Stats.shed >= 2);
-  Alcotest.(check bool) "high water reached" true (s.Service.Stats.queue_high_water >= 2);
+  Alcotest.(check int) "sheds counted" 3 s.Service.Stats.shed;
+  Alcotest.(check int) "high water reached" 2 s.Service.Stats.queue_high_water;
   Service.shutdown t
 
 let test_shutdown_rejects () =

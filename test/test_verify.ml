@@ -70,6 +70,84 @@ let test_illegal_apply () =
   Alcotest.(check bool) "left->right reference flagged" true
     (has_kind (function Verify.Illegal_apply _ -> true | _ -> false) (Verify.check bad))
 
+(* The verifier decides leaks from the free references each child
+   returns in its one walk, so a reference must be found however deep
+   it sits: under Select/Project/GroupBy, inside a subquery expression,
+   or as a SegmentHole's source column.  A reference bound inside its
+   own side is not a leak. *)
+let test_leaks_through_depth () =
+  let l, la, _ = scan () in
+  let r, ra, rb = scan () in
+  let leaks pred vs = List.exists pred (kinds vs) in
+  let correlated = function Verify.Correlated_join cs -> List.exists (Col.equal la) cs | _ -> false in
+  let illegal = function Verify.Illegal_apply _ -> true | _ -> false in
+  let join ?(kind = Inner) left right = Join { kind; pred = true_; left; right } in
+  let apply left right = Apply { kind = Inner; pred = true_; left; right } in
+  (* buried under Select, Project and GroupBy *)
+  let p = Col.fresh "p" Value.TInt in
+  let buried =
+    GroupBy
+      { keys = [ p ];
+        aggs = [];
+        input = Project ([ { expr = ColRef ra; out = p } ], Select (Cmp (Eq, ColRef ra, ColRef la), r))
+      }
+  in
+  Alcotest.(check bool) "buried: join leak" true (leaks correlated (Verify.check (join l buried)));
+  Alcotest.(check bool) "buried: semijoin leak" true
+    (leaks correlated (Verify.check (join ~kind:Semi l buried)));
+  Alcotest.(check int) "buried: legal under Apply" 0 (List.length (Verify.check (apply l buried)));
+  Alcotest.(check bool) "buried: apply left side leak" true
+    (leaks illegal (Verify.check (apply buried l)));
+  (* inside a subquery expression on a join side *)
+  let s, sa, _ = scan () in
+  let sub = Select (Exists (Select (Cmp (Eq, ColRef sa, ColRef la), s)), r) in
+  Alcotest.(check bool) "subquery: join leak" true (leaks correlated (Verify.check (join l sub)));
+  Alcotest.(check bool) "subquery: apply left side leak" true
+    (leaks illegal (Verify.check (apply sub l)));
+  Alcotest.(check int) "subquery: legal under Apply" 0 (List.length (Verify.check (apply l sub)));
+  (* a SegmentHole mirroring the join's sibling instead of the segment
+     outer *)
+  let o, oa, _ = scan () in
+  let segment src =
+    let h = Col.fresh "h" Value.TInt in
+    SegmentApply
+      { seg_cols = [ oa ];
+        outer = o;
+        inner = join l (Select (Cmp (Gt, ColRef h, Const (Value.Int 0)), SegmentHole { cols = [ h ]; src = [ src ] }))
+      }
+  in
+  Alcotest.(check bool) "hole: join leak" true (leaks correlated (Verify.check (segment la)));
+  Alcotest.(check int) "hole: mirroring the segment outer is legal" 0
+    (List.length (Verify.check (segment oa)));
+  (* references bound inside their own side: an Apply nested in the
+     right side, and a subquery over its host's columns *)
+  let nested = apply r (Select (Cmp (Eq, ColRef sa, ColRef ra), s)) in
+  Alcotest.(check int) "own side: nested apply" 0 (List.length (Verify.check (join l nested)));
+  let own_sub = Select (Exists (Select (Cmp (Eq, ColRef sa, ColRef rb), s)), r) in
+  Alcotest.(check int) "own side: subquery" 0 (List.length (Verify.check (join l own_sub)))
+
+(* A node's violations precede its children's, left child before
+   right, as a pre-order walk reports them. *)
+let test_violation_order () =
+  let l, la, _ = scan () in
+  let r, ra, _ = scan () in
+  let ghost_l = Col.fresh "gl" Value.TInt and ghost_r = Col.fresh "gr" Value.TInt in
+  let left = Select (Cmp (Eq, ColRef ghost_l, Const (Value.Int 1)), l) in
+  let right =
+    Select (Cmp (Eq, ColRef ghost_r, ColRef ra), Select (Cmp (Eq, ColRef ra, ColRef la), r))
+  in
+  let root = Join { kind = Inner; pred = true_; left; right } in
+  match Verify.check root with
+  | [ { kind = Verify.Correlated_join [ c ]; node = n0 };
+      { kind = Verify.Unresolved_column g1; node = n1 };
+      { kind = Verify.Unresolved_column g2; node = n2 } ] ->
+      Alcotest.(check bool) "leak of la at the join" true (Col.equal c la && n0 == root);
+      Alcotest.(check bool) "left side's ghost next" true (Col.equal g1 ghost_l && n1 == left);
+      Alcotest.(check bool) "right side's ghost last" true (Col.equal g2 ghost_r && n2 == right)
+  | vs ->
+      Alcotest.failf "unexpected violations:\n%s"
+        (String.concat "\n" (List.map Verify.violation_summary vs))
+
 let test_orphan_hole () =
   let _, a, b = scan () in
   let hole =
@@ -372,6 +450,8 @@ let suite =
     Alcotest.test_case "duplicate column" `Quick test_duplicate_column;
     Alcotest.test_case "correlated join" `Quick test_correlated_join;
     Alcotest.test_case "illegal apply" `Quick test_illegal_apply;
+    Alcotest.test_case "leaks through depth" `Quick test_leaks_through_depth;
+    Alcotest.test_case "violation order" `Quick test_violation_order;
     Alcotest.test_case "orphan segment hole" `Quick test_orphan_hole;
     Alcotest.test_case "union mismatch" `Quick test_union_mismatch;
     Alcotest.test_case "groupby key unbound" `Quick test_groupby_key_unbound;
