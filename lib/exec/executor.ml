@@ -45,7 +45,7 @@ type ctx = {
   metrics : Metrics.t option;  (** per-operator metrics tree (EXPLAIN ANALYZE) *)
   mutable mnode : Metrics.node option;
       (** metrics node of the operator currently being evaluated *)
-  pos_cache : (int, int) Hashtbl.t Metrics.PhysTbl.t;
+  pos_cache : int Col.IdTbl.t Metrics.PhysTbl.t;
       (** schema position tables, memoized per plan node *)
   probe_cache : (lookup -> row list) option Metrics.PhysTbl.t;
       (** Apply index fast paths, memoized per inner tree *)
@@ -114,16 +114,16 @@ let op_fault_kind : op -> Faults.op_kind = function
   | Rownum _ -> Faults.Rownum
 
 (* position map for a schema *)
-let positions (schema : Col.t list) : (int, int) Hashtbl.t =
-  let h = Hashtbl.create (List.length schema * 2) in
-  List.iteri (fun i (c : Col.t) -> if not (Hashtbl.mem h c.id) then Hashtbl.add h c.id i) schema;
+let positions (schema : Col.t list) : int Col.IdTbl.t =
+  let h = Col.IdTbl.create (List.length schema * 2) in
+  List.iteri (fun i (c : Col.t) -> if not (Col.IdTbl.mem h c.id) then Col.IdTbl.add h c.id i) schema;
   h
 
 (* Memoized [positions (Op.schema o)] keyed on physical node identity.
    Apply re-executes its inner tree once per outer row; rebuilding the
    schema position tables of every inner operator on every invocation
    dominated the correlated slow path. *)
-let pos_of (ctx : ctx) (o : op) : (int, int) Hashtbl.t =
+let pos_of (ctx : ctx) (o : op) : int Col.IdTbl.t =
   match Metrics.PhysTbl.find_opt ctx.pos_cache o with
   | Some h -> h
   | None ->
@@ -131,19 +131,19 @@ let pos_of (ctx : ctx) (o : op) : (int, int) Hashtbl.t =
       Metrics.PhysTbl.replace ctx.pos_cache o h;
       h
 
-let row_lookup (pos : (int, int) Hashtbl.t) (r : row) (outer : lookup) : lookup =
+let row_lookup (pos : int Col.IdTbl.t) (r : row) (outer : lookup) : lookup =
  fun id ->
-  match Hashtbl.find_opt pos id with
+  match Col.IdTbl.find_opt pos id with
   | Some i -> Some r.(i)
   | None -> outer id
 
-let rows_lookup (pos1 : (int, int) Hashtbl.t) (r1 : row) (pos2 : (int, int) Hashtbl.t)
+let rows_lookup (pos1 : int Col.IdTbl.t) (r1 : row) (pos2 : int Col.IdTbl.t)
     (r2 : row) (outer : lookup) : lookup =
  fun id ->
-  match Hashtbl.find_opt pos1 id with
+  match Col.IdTbl.find_opt pos1 id with
   | Some i -> Some r1.(i)
   | None -> (
-      match Hashtbl.find_opt pos2 id with Some i -> Some r2.(i) | None -> outer id)
+      match Col.IdTbl.find_opt pos2 id with Some i -> Some r2.(i) | None -> outer id)
 
 (* ------------------------------------------------------------------ *)
 (* Grouping keys: hashtable over value lists                          *)
@@ -341,7 +341,7 @@ and run_node (ctx : ctx) (env : lookup) (o : op) : row list =
           let idx =
             List.map
               (fun (c : Col.t) ->
-                match Hashtbl.find_opt pos c.id with
+                match Col.IdTbl.find_opt pos c.id with
                 | Some i -> i
                 | None -> raise (Runtime_error ("segment source column missing: " ^ c.name)))
               src
@@ -439,7 +439,7 @@ and exec_group_by ctx env (keys : Col.t list) (aggs : agg list) (input : op) : r
   let key_idx =
     List.map
       (fun (c : Col.t) ->
-        match Hashtbl.find_opt pos c.id with
+        match Col.IdTbl.find_opt pos c.id with
         | Some i -> i
         | None -> raise (Runtime_error ("grouping column missing: " ^ c.name)))
       keys
@@ -734,7 +734,7 @@ and exec_segment_apply ctx env seg_cols outer inner =
   let seg_idx =
     List.map
       (fun (c : Col.t) ->
-        match Hashtbl.find_opt opos c.id with
+        match Col.IdTbl.find_opt opos c.id with
         | Some i -> i
         | None -> raise (Runtime_error ("segment column missing: " ^ c.name)))
       seg_cols
@@ -785,7 +785,7 @@ let sort_rows (schema : Col.t list) (order : (Col.t * bool) list) (rows : row li
     let keyed =
       List.map
         (fun ((c : Col.t), desc) ->
-          match Hashtbl.find_opt pos c.id with
+          match Col.IdTbl.find_opt pos c.id with
           | Some i -> (i, desc)
           | None -> raise (Runtime_error ("order-by column missing: " ^ c.name)))
         order

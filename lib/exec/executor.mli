@@ -37,7 +37,7 @@ type ctx = {
   metrics : Metrics.t option;  (** per-operator metrics tree (EXPLAIN ANALYZE) *)
   mutable mnode : Metrics.node option;
       (** metrics node of the operator currently being evaluated *)
-  pos_cache : (int, int) Hashtbl.t Metrics.PhysTbl.t;
+  pos_cache : int Col.IdTbl.t Metrics.PhysTbl.t;
       (** schema position tables, memoized per plan node *)
   probe_cache : (lookup -> row list) option Metrics.PhysTbl.t;
       (** Apply index fast paths, memoized per inner tree *)

@@ -11,7 +11,11 @@ open Relalg.Algebra
 
 (* --- single-node simplifications ------------------------------------ *)
 
+(* The input's schema is built only for a projection that passes
+   columns through unrenamed. *)
 let is_identity_project projs input =
+  List.for_all (fun p -> match p.expr with ColRef c -> Col.equal p.out c | _ -> false) projs
+  &&
   let sch = Op.schema input in
   List.length projs = List.length sch
   && List.for_all2
@@ -63,8 +67,11 @@ let dedup_conjuncts (p : expr) : expr =
         if List.exists (fun k' -> Stdlib.compare k k' = 0) seen then keep seen rest
         else c :: keep (k :: seen) rest
   in
-  let rebuilt = conj_list (keep [] (conjuncts p)) in
-  if Stdlib.compare rebuilt p = 0 then p else rebuilt
+  match p with
+  | And _ ->
+      let rebuilt = conj_list (keep [] (conjuncts p)) in
+      if Stdlib.compare rebuilt p = 0 then p else rebuilt
+  | _ -> p (* one conjunct: nothing to drop *)
 
 let simplify_node (o : op) : op =
   match o with

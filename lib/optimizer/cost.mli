@@ -22,7 +22,7 @@ val has_equi : expr -> Col.Set.t -> Col.Set.t -> bool
 (** Index fast path for Apply, mirroring the executor's probe
     detection: a (possibly projected) filtered base-table scan with a
     declared index on an equality column.  Returns (table, column). *)
-val apply_index_path : Catalog.t -> Col.Set.t -> op -> (string * string) option
+val apply_index_path : Catalog.t -> op -> (string * string) option
 
 (** Cost of a tree under a cardinality environment, computed in the
     same bottom-up walk ({!Card.fold}) as the cardinalities it uses. *)

@@ -17,7 +17,10 @@ open Relalg.Algebra
 
 type rule = { name : string; apply : op -> op list }
 
-let rules_for (cfg : Config.t) ~(env : Props.env) ~(cat : Catalog.t) : rule list =
+(* [props]: the properties the property rules read for a node of the
+   tree they fire on. *)
+let rules_with (cfg : Config.t) ~(env : Props.env) ~(props : op -> Fd.t) ~(cat : Catalog.t) :
+    rule list =
   let r name f = { name; apply = (fun o -> match f o with Some t -> [ t ] | None -> []) } in
   let rmulti name f = { name; apply = f } in
   List.concat
@@ -46,10 +49,10 @@ let rules_for (cfg : Config.t) ~(env : Props.env) ~(cat : Catalog.t) : rule list
          [ r "join-to-indexed-apply" (Rules.Correlated.join_to_apply ~cat) ]
        else []);
       (if cfg.property_rewrites then
-         [ r "groupby-eliminate-key" (Rules.Property_rules.eliminate_groupby_on_key ~env);
-           r "max1row-elide" (Rules.Property_rules.elide_max1row ~env);
-           r "semijoin-to-inner" (Rules.Property_rules.semijoin_to_inner ~env);
-           r "outerjoin-prune" (Rules.Property_rules.prune_unused_outerjoin ~env)
+         [ r "groupby-eliminate-key" (Rules.Property_rules.eliminate_groupby_on_key ~props);
+           r "max1row-elide" (Rules.Property_rules.elide_max1row ~props);
+           r "semijoin-to-inner" (Rules.Property_rules.semijoin_to_inner ~props);
+           r "outerjoin-prune" (Rules.Property_rules.prune_unused_outerjoin ~props)
          ]
        else []);
       (if cfg.join_reorder then
@@ -62,33 +65,46 @@ let rules_for (cfg : Config.t) ~(env : Props.env) ~(cat : Catalog.t) : rule list
        else [])
     ]
 
+let rules_for cfg ~env ~cat = rules_with cfg ~env ~props:(Fd.analyze ~env) ~cat
+
 (* One rule firing: the matched subtree, what the rule turned it into,
    and the whole rebuilt tree.  The verifier needs the site pair (to
    re-derive rule preconditions) and the result (to check global
    invariants). *)
 type firing = { site_before : op; site_after : op; result : op }
 
-(* apply [rule] at every node of [t], producing one firing per position *)
-let apply_everywhere_sites (rule : rule) (t : op) : firing list =
-  let results = ref [] in
-  let rec go (node : op) (rebuild : op -> op) =
-    List.iter
-      (fun node' ->
-        results := { site_before = node; site_after = node'; result = rebuild node' } :: !results)
-      (rule.apply node);
-    let children = Op.children node in
-    List.iteri
-      (fun idx child ->
-        let rebuild_child c' =
-          rebuild
-            (Op.with_children node
-               (List.mapi (fun j ch -> if j = idx then c' else ch) children))
-        in
-        go child rebuild_child)
-      children
+(* Every node of [t] in pre-order, with its path: the node's ancestors
+   and its index among their children, nearest first. *)
+let positions (t : op) : (op * (op * int) list) list =
+  let acc = ref [] in
+  let rec go node path =
+    acc := (node, path) :: !acc;
+    List.iteri (fun idx child -> go child ((node, idx) :: path)) (Op.children node)
   in
-  go t (fun x -> x);
-  !results
+  go t [];
+  List.rev !acc
+
+(* [t] with the node at [path] replaced by [o], rebuilt along the path *)
+let rec rebuild path (o : op) =
+  match path with
+  | [] -> o
+  | (parent, idx) :: up ->
+      rebuild up
+        (Op.with_children parent
+           (List.mapi (fun j ch -> if j = idx then o else ch) (Op.children parent)))
+
+(* apply [rule] at each of a tree's [positions], in order, producing one
+   firing per rewrite (the last position's first) *)
+let fire (rule : rule) positions : firing list =
+  List.fold_left
+    (fun acc (node, path) ->
+      List.fold_left
+        (fun acc node' -> { site_before = node; site_after = node'; result = rebuild path node' } :: acc)
+        acc (rule.apply node))
+    [] positions
+
+(* apply [rule] at every node of [t], producing one firing per position *)
+let apply_everywhere_sites (rule : rule) (t : op) : firing list = fire rule (positions t)
 
 let apply_everywhere (rule : rule) (t : op) : op list =
   List.map (fun f -> f.result) (apply_everywhere_sites rule t)
@@ -193,6 +209,15 @@ let trace_to_json (t : trace) : string =
    [beam_width] trees of each round are expanded further. *)
 let beam_width = 64
 
+(* The memo of explored plans, keyed on a plan's fingerprint together
+   with the fingerprint's hash, so each long key is hashed once. *)
+module Memo = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((h1, s1) : t) (h2, s2) = h1 = h2 && String.equal s1 s2
+  let hash ((h, _) : t) = h
+end)
+
 let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = true)
     ?(extra_rules = []) (cfg : Config.t) (stats : Stats.t) ~(env : Props.env) (seed : op) :
     outcome =
@@ -210,7 +235,19 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
      [extra_rules] extends the configured rule set (tests use it to
      inject deliberately broken rules). *)
   let cat = Stats.catalog stats in
-  let rules = rules_for cfg ~env ~cat @ extra_rules in
+  (* The properties of every node of the plan being expanded, derived
+     in one fold when first needed: the property rules read their
+     inputs' properties here, and costing takes them for the subtrees
+     a candidate shares with that plan (rules rebuild only the path
+     from their site to the root).  [env] is the catalog's, as
+     costing's own. *)
+  let expanding = ref (lazy []) in
+  let props o =
+    match List.assq_opt o (Lazy.force !expanding) with
+    | Some p -> p
+    | None -> Fd.analyze ~env o
+  in
+  let rules = rules_with cfg ~env ~props ~cat @ extra_rules in
   (* rule name -> first violation summary; consulted before every firing *)
   let quarantine : (string, string) Hashtbl.t = Hashtbl.create 4 in
   (* all rules preserve the root schema (interior rewrites are rebuilt
@@ -218,17 +255,21 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
      every candidate must produce the seed's schema — the executor
      slices result rows positionally *)
   let expect_schema = Op.schema seed in
-  let seen = Hashtbl.create 128 in
+  let seen = Memo.create 128 in
   let best = ref seed in
   let best_cost = ref infinity in
   (* a candidate is its cleaned tree and the memo key of that tree *)
   let candidate t =
     let t = Normalize.Simplify.cleanup t in
-    (Fingerprint.of_op t, t)
+    let fp = Fingerprint.of_op t in
+    ((Hashtbl.hash fp, fp), t)
   in
   let admit key t =
-    Hashtbl.replace seen key ();
-    let c = Cost.of_plan stats t in
+    Memo.replace seen key ();
+    let c =
+      let cenv = { (Card.make_env stats t) with props = env; known = Lazy.force !expanding } in
+      Cost.cost cenv cat t
+    in
     if c < !best_cost && must t then begin
       best := t;
       best_cost := c
@@ -283,18 +324,20 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
        let next = ref [] in
        List.iter
          (fun (_, t) ->
+           expanding := lazy (Fd.analyze_nodes ~env t);
+           let sites = lazy (positions t) in
            List.iter
              (fun rule ->
                if not (Hashtbl.mem quarantine rule.name) then
                  List.iter
                    (fun (f : firing) ->
-                     if Hashtbl.length seen >= cfg.max_alternatives then
+                     if Memo.length seen >= cfg.max_alternatives then
                        raise Budget_exhausted;
                      (* a firing earlier in this list may have just
                         quarantined the rule: skip its remaining output *)
                      if not (Hashtbl.mem quarantine rule.name) then begin
                        let key, cleaned = candidate f.result in
-                       if Hashtbl.mem seen key then begin
+                       if Memo.mem seen key then begin
                          (* already memoized, and verified when admitted *)
                          if record_trace then
                            bump rule.name ~fired:1 ~kept:0 ~dups:1 ~invalid:0
@@ -321,7 +364,7 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
                              if record_trace then
                                bump rule.name ~fired:1 ~kept:1 ~dups:0 ~invalid:0
                      end)
-                   (apply_everywhere_sites rule t))
+                   (fire rule (Lazy.force sites)))
              rules)
          !frontier;
        let ranked = List.sort (fun (a, _) (b, _) -> Float.compare a b) !next in
@@ -347,4 +390,4 @@ let optimize ?(must = fun (_ : op) -> true) ?(record_trace = false) ?(verify = t
         }
     else None
   in
-  { best = !best; best_cost; explored = Hashtbl.length seen; seed_cost; trace; quarantined }
+  { best = !best; best_cost; explored = Memo.length seen; seed_cost; trace; quarantined }

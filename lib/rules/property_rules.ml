@@ -38,8 +38,6 @@
 open Relalg
 open Relalg.Algebra
 
-type env = Props.env
-
 let project_restore (cols : Col.t list) (o : op) : op =
   Project (List.map (fun c -> { expr = ColRef c; out = c }) cols, o)
 
@@ -59,11 +57,10 @@ let single_row_agg (fn : agg_fn) : expr =
 (* G_{A,F}(R)  =  π_{A, F(single row)}(R)   when A covers a derived key
    of R (FD closure), i.e. every group is a singleton.  Also eliminates
    DISTINCT (aggregate-free GroupBy). *)
-let eliminate_groupby_on_key ~(env : env) (o : op) : op option =
+let eliminate_groupby_on_key ~(props : op -> Fd.t) (o : op) : op option =
   match o with
   | GroupBy { keys; aggs; input } when keys <> [] ->
-      let props = Fd.analyze ~env input in
-      if Fd.covers_key props (Col.Set.of_list keys) then
+      if Fd.covers_key (props input) (Col.Set.of_list keys) then
         let key_projs = List.map (fun k -> { expr = ColRef k; out = k }) keys in
         let agg_projs =
           List.map (fun (a : agg) -> { expr = single_row_agg a.fn; out = a.out }) aggs
@@ -75,18 +72,18 @@ let eliminate_groupby_on_key ~(env : env) (o : op) : op option =
 (* Max1row(R) = R  when R is proven to yield at most one row — the
    runtime check is dead and the decorrelated scalar-subquery plan
    sheds an operator. *)
-let elide_max1row ~(env : env) (o : op) : op option =
+let elide_max1row ~(props : op -> Fd.t) (o : op) : op option =
   match o with
-  | Max1row i -> if Fd.max_one (Fd.analyze ~env i) then Some i else None
+  | Max1row i -> if Fd.max_one (props i) then Some i else None
   | _ -> None
 
 (* R ⋉p S  =  π_{cols(R)}(R ⋈p S)  when p pins a derived key of S: at
    most one match per left row makes the semijoin's existence test and
    the inner join's multiplicity agree. *)
-let semijoin_to_inner ~(env : env) (o : op) : op option =
+let semijoin_to_inner ~(props : op -> Fd.t) (o : op) : op option =
   match o with
   | Join { kind = Semi; pred; left; right } ->
-      let rp = Fd.analyze ~env right in
+      let rp = props right in
       let pinned =
         Fd.pinned_right (Op.schema_set left) (Op.schema_set right) (conjuncts pred)
       in
@@ -101,7 +98,7 @@ let semijoin_to_inner ~(env : env) (o : op) : op option =
    is key-unique on the pinned join columns (each left row yields
    exactly one output row, so the outerjoin neither filters nor
    duplicates). *)
-let prune_unused_outerjoin ~(env : env) (o : op) : op option =
+let prune_unused_outerjoin ~(props : op -> Fd.t) (o : op) : op option =
   match o with
   | Project (projs, Join { kind = LeftOuter; pred; left; right }) ->
       let rset = Op.schema_set right in
@@ -113,7 +110,7 @@ let prune_unused_outerjoin ~(env : env) (o : op) : op option =
           projs
       in
       if clean then
-        let rp = Fd.analyze ~env right in
+        let rp = props right in
         let pinned = Fd.pinned_right (Op.schema_set left) rset (conjuncts pred) in
         if Fd.covers_key rp pinned then Some (Project (projs, left)) else None
       else None

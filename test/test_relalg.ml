@@ -198,6 +198,71 @@ let test_conjuncts () =
   Alcotest.(check bool) "conj absorbs true" true (conj true_ p1 = p1);
   Alcotest.(check bool) "conj_list empty" true (is_true_const (conj_list []))
 
+(* [Col.Set] and [Col.IdMap] spell out the standard library's balanced
+   trees for column ids: on random ids (duplicates included, lists long
+   enough to take [of_list]'s sorted path) every operation must answer
+   as [Set.Make (Int)] / [Map.Make (Int)] do on the same ids. *)
+module ISet = Set.Make (Int)
+module IMap = Map.Make (Int)
+
+let col_of id = { Col.id; name = "c"; ty = Value.TInt }
+let ids s = List.map (fun (c : Col.t) -> c.Col.id) (Col.Set.elements s)
+let sign n = compare n 0
+
+let prop_col_set_agrees =
+  QCheck.Test.make ~count:500 ~name:"Col.Set agrees with Stdlib.Set"
+    QCheck.(triple (list_of_size Gen.(0 -- 40) (int_range (-3) 60)) (list_of_size Gen.(0 -- 40) (int_range (-3) 60)) (int_range (-3) 60))
+    (fun (xs, ys, k) ->
+      let a = Col.Set.of_list (List.map col_of xs) in
+      let b = List.fold_left (fun s y -> Col.Set.add (col_of y) s) Col.Set.empty ys in
+      let b = Col.Set.remove (col_of k) b in
+      let sa = ISet.of_list xs and sb = ISet.remove k (ISet.of_list ys) in
+      let c = col_of k in
+      ids a = ISet.elements sa
+      && ids b = ISet.elements sb
+      && ids (Col.Set.union a b) = ISet.elements (ISet.union sa sb)
+      && ids (Col.Set.inter a b) = ISet.elements (ISet.inter sa sb)
+      && ids (Col.Set.diff a b) = ISet.elements (ISet.diff sa sb)
+      && ids (Col.Set.filter (fun (c : Col.t) -> c.Col.id mod 2 = 0) a)
+         = ISet.elements (ISet.filter (fun i -> i mod 2 = 0) sa)
+      && Col.Set.subset a b = ISet.subset sa sb
+      && Col.Set.subset (Col.Set.inter a b) a
+      && Col.Set.disjoint a b = ISet.disjoint sa sb
+      && Col.Set.equal a b = ISet.equal sa sb
+      && Col.Set.equal (Col.Set.union a b) (Col.Set.union b a)
+      && sign (Col.Set.compare a b) = sign (ISet.compare sa sb)
+      && Col.Set.mem c a = ISet.mem k sa
+      && Col.Set.cardinal a = ISet.cardinal sa
+      && Col.Set.is_empty a = ISet.is_empty sa
+      && Option.map (fun (c : Col.t) -> c.Col.id) (Col.Set.choose_opt a) = ISet.min_elt_opt sa
+      && Col.Set.fold (fun (c : Col.t) acc -> c.Col.id :: acc) a [] = ISet.fold List.cons sa []
+      && Col.Set.exists (fun (c : Col.t) -> c.Col.id = k) a = ISet.exists (( = ) k) sa
+      && Col.Set.for_all (fun (c : Col.t) -> c.Col.id > k) a = ISet.for_all (fun i -> i > k) sa)
+
+let prop_id_map_agrees =
+  QCheck.Test.make ~count:500 ~name:"Col.IdMap agrees with Stdlib.Map"
+    QCheck.(pair (list_of_size Gen.(0 -- 40) (pair (int_range 0 50) small_int)) (list_of_size Gen.(0 -- 40) (pair (int_range 0 50) small_int)))
+    (fun (xs, ys) ->
+      let build add empty = List.fold_left (fun m (k, v) -> add k v m) empty in
+      let a = build Col.IdMap.add Col.IdMap.empty xs and b = build Col.IdMap.add Col.IdMap.empty ys in
+      let ma = build IMap.add IMap.empty xs and mb = build IMap.add IMap.empty ys in
+      let bindings m = Col.IdMap.fold (fun k v acc -> (k, v) :: acc) m [] in
+      let sbindings m = IMap.fold (fun k v acc -> (k, v) :: acc) m [] in
+      let last _ _ y = Some y and drop_odd _ x y = if (x + y) mod 2 = 0 then Some (x - y) else None in
+      bindings a = sbindings ma
+      && bindings (Col.IdMap.union last a b) = sbindings (IMap.union last ma mb)
+      && bindings (Col.IdMap.union drop_odd a b) = sbindings (IMap.union drop_odd ma mb)
+      && bindings (Col.IdMap.filter (fun k v -> (k + v) mod 3 = 0) a)
+         = sbindings (IMap.filter (fun k v -> (k + v) mod 3 = 0) ma)
+      && List.for_all
+           (fun k ->
+             Col.IdMap.find_opt k a = IMap.find_opt k ma
+             && Col.IdMap.mem k a = IMap.mem k ma
+             && (match Col.IdMap.find k a with v -> Some v | exception Not_found -> None)
+                = IMap.find_opt k ma)
+           (List.init 52 Fun.id)
+      && Col.IdMap.is_empty a = IMap.is_empty ma)
+
 let suite =
   [ Alcotest.test_case "schema shapes" `Quick test_schema_shapes;
     Alcotest.test_case "free cols / correlation" `Quick test_free_cols_correlation;
@@ -210,5 +275,7 @@ let suite =
     Alcotest.test_case "null rejection" `Quick test_null_rejection;
     Alcotest.test_case "clone fresh" `Quick test_clone_fresh;
     Alcotest.test_case "isomorphism" `Quick test_iso;
-    Alcotest.test_case "conjuncts" `Quick test_conjuncts
+    Alcotest.test_case "conjuncts" `Quick test_conjuncts;
+    Support.qtest prop_col_set_agrees;
+    Support.qtest prop_id_map_agrees
   ]
