@@ -9,21 +9,19 @@
 open Relalg
 open Relalg.Algebra
 
-type env = Props.env
-
 (** S ⋈p (G_{A,F} R)  =  G_{A ∪ cols(S), F} (S ⋈p R), requiring a key
     on S and no aggregate outputs in p.  Fires for either join input. *)
-val pull_above_join : env:env -> op -> op option
+val pull_above_join : props:(op -> Fd.t) -> op -> op option
 
 (** G_{A,F}(S ⋈p R) = π(S ⋈p (G_{A',F} R)): push the aggregate onto one
     join input.  An R-side predicate column not in A is admitted when
     equated with an S-side expression (it joins the pushed grouping
     keys). *)
-val push_below_join : env:env -> op -> op option
+val push_below_join : props:(op -> Fd.t) -> op -> op option
 
 (** The Section 3.2 variant for left outerjoins, adding the
     compensating project for count aggregates on padded groups. *)
-val push_below_outerjoin : env:env -> op -> op option
+val push_below_outerjoin : props:(op -> Fd.t) -> op -> op option
 
 (** (G_{A,F} R) ⋉p S = G_{A,F}(R ⋉p S) when p avoids aggregate outputs
     and p's non-S columns are grouping columns; also antijoins. *)
