@@ -46,6 +46,13 @@ let props_env (t : t) : Relalg.Props.env =
         | None -> []);
   }
 
+let has_index (t : t) table col =
+  match find_table t table with
+  | None -> false
+  | Some def ->
+      List.exists (function [ c ] -> c = col | _ -> false) def.indexes
+      || def.primary_key = [ col ]
+
 let column_ty table cname =
   match List.find_opt (fun c -> c.col_name = cname) table.columns with
   | Some c -> Some c.col_ty

@@ -31,6 +31,12 @@ val table_names : t -> string list
     {!Relalg.Fd}. *)
 val props_env : t -> Relalg.Props.env
 
+(** [has_index t table col]: does [table] declare a single-column
+    index on [col], or have [col] as its whole primary key?  The
+    executor's index probe and the cost model's index path rest on
+    it. *)
+val has_index : t -> string -> string -> bool
+
 val column_ty : table -> string -> Relalg.Value.ty option
 
 (** The TPC-H schema (the paper's evaluation workload). *)

@@ -96,10 +96,6 @@ let adjust_aggs_for_loj ~(env : Props.env) (aggs : agg list) (e : op) : agg list
   in
   go [] aggs
 
-(* positional projection wrapper: force output columns [cols] *)
-let project_to (cols : Col.t list) (o : op) : op =
-  Project (List.map (fun c -> { expr = ColRef c; out = c }) cols, o)
-
 let rec remove cfg (o : op) : op =
   match o with
   | Apply { kind; pred; left; right } ->
@@ -146,7 +142,7 @@ and push cfg kind pred (r : op) (e : op) : op =
         (* realign branch 2 positionally to branch 1's schema *)
         let c1 = arity_cols b1 in
         let b2 = project_to_positional c1 (Op.schema b2) b2 in
-        UnionAll (project_to c1 b1, b2)
+        UnionAll (Op.project_restore c1 b1, b2)
     | Except (e1, e2) when kind = Inner && cfg.class2 ->
         (* identity (6) *)
         let b1 = push cfg Inner pred r e1 in
@@ -160,7 +156,7 @@ and push cfg kind pred (r : op) (e : op) : op =
         let pred2 = Expr.rename ~map_op:Op.rename m (Expr.rename ~map_op:Op.rename pos_map pred) in
         let b2 = push cfg Inner pred2 r2 e2' in
         let c1 = Op.schema b1 in
-        Except (project_to c1 b1, project_to_positional c1 (Op.schema b2) b2)
+        Except (Op.project_restore c1 b1, project_to_positional c1 (Op.schema b2) b2)
     | _ -> (
         (* generic fallbacks per variant *)
         match kind with
@@ -295,7 +291,7 @@ and push_scalar_agg_over_union cfg kind pred r (aggs : agg list) e1 e2 : op opti
         let guarded = if is_true_const pred then proj else Select (pred, proj) in
         match kind with
         | Inner | LeftOuter -> Some guarded
-        | Semi -> Some (project_to (Op.schema r) guarded)
+        | Semi -> Some (Op.project_restore (Op.schema r) guarded)
         | Anti -> None
       end
     end
@@ -342,7 +338,7 @@ and push_scalar_agg_plain cfg kind pred r aggs input =
                 "push_scalar_agg: %s Apply reached the semi/anti route (pred %s over %s)"
                 (join_kind_name kind) (Expr.to_string pred) (Pp.label r)
         in
-        project_to (Op.schema r) (Select (cond, cross))
+        Op.project_restore (Op.schema r) (Select (cond, cross))
 
 (* --- identity (8): cross Apply over vector GroupBy ------------------ *)
 
@@ -372,7 +368,7 @@ and push_inner_join cfg pred r jk q e1 e2 =
         else begin
           let j = Join { kind = Inner; pred = q; left = e1; right = inner } in
           let target = Op.schema r @ Op.schema e1 @ Op.schema e2 in
-          let reordered = project_to target j in
+          let reordered = Op.project_restore target j in
           if is_true_const pred then reordered else Select (pred, reordered)
         end
       end
@@ -489,7 +485,7 @@ and push_semi_anti_generic cfg kind pred r e =
                   "push_semi_anti: %s Apply reached the count route (pred %s over %s)"
                   (join_kind_name kind) (Expr.to_string pred) (Pp.label e)
           in
-          Some (project_to (Op.schema r) (Select (cond, g)))
+          Some (Op.project_restore (Op.schema r) (Select (cond, g)))
         end
   in
   let distinct_route () =
@@ -500,9 +496,9 @@ and push_semi_anti_generic cfg kind pred r e =
       if contains_apply cross then None
       else
         Some
-          (project_to (Op.schema r)
+          (Op.project_restore (Op.schema r)
              (GroupBy
-                { keys = Op.schema r'; aggs = []; input = project_to (Op.schema r') cross }))
+                { keys = Op.schema r'; aggs = []; input = Op.project_restore (Op.schema r') cross }))
     end
   in
   match count_route () with

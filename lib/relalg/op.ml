@@ -27,6 +27,9 @@ let rec schema (o : op) : Col.t list =
 
 let schema_set o = Col.Set.of_list (schema o)
 
+let project_restore (cols : Col.t list) (o : op) : op =
+  Project (List.map (fun c -> { expr = ColRef c; out = c }) cols, o)
+
 (* ------------------------------------------------------------------ *)
 (* Children and reconstruction.                                       *)
 (* ------------------------------------------------------------------ *)

@@ -9,6 +9,12 @@ val schema : op -> Col.t list
 
 val schema_set : op -> Col.Set.t
 
+(** [project_restore cols o]: a pass-through projection of [o] onto
+    [cols], in that order.  A rewrite that reorders or widens a
+    subtree's columns wraps its result in one to keep the site's
+    schema. *)
+val project_restore : Col.t list -> op -> op
+
 (** Relational children, left to right. *)
 val children : op -> op list
 

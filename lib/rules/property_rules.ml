@@ -38,9 +38,6 @@
 open Relalg
 open Relalg.Algebra
 
-let project_restore (cols : Col.t list) (o : op) : op =
-  Project (List.map (fun c -> { expr = ColRef c; out = c }) cols, o)
-
 (* The single-row value of an aggregate, mirroring the executor. *)
 let single_row_agg (fn : agg_fn) : expr =
   match fn with
@@ -89,7 +86,7 @@ let semijoin_to_inner ~(props : op -> Fd.t) (o : op) : op option =
       in
       if Fd.covers_key rp pinned then
         Some
-          (project_restore (Op.schema left)
+          (Op.project_restore (Op.schema left)
              (Join { kind = Inner; pred; left; right }))
       else None
   | _ -> None
