@@ -273,44 +273,35 @@ let templates_for (cat : Catalog.t) (rule : string) : (string * op) list =
       [ t "(segmentapply) join t on seg col"
           (Join { kind = Inner; pred = eq rc te; left = sa; right = tt })
       ]
-  | "join-to-indexed-apply" ->
-      (* u carries a primary-key index on ug: the rule's static
-         precondition; checked for plain and semijoin variants *)
-      let mk kind =
+  | "join-enumerate" ->
+      (* a 3-vertex chain (one plan per split), a block whose graph is
+         disconnected (components joined by a cross product), an inner
+         join into u's primary-key index (the probe wins on the empty
+         statistics the prover costs with) and the index probe for a
+         semijoin *)
+      let chain =
+        let j, _, _, _, rd = s_r_join () in
+        let tt, tcols = scan cat "t" in
+        Join { kind = Inner; pred = eq rd (List.hd tcols); left = j; right = tt }
+      in
+      let cross =
+        let s, _ = scan cat "s" and r, rcols = scan cat "r" in
+        let tt, tcols = scan cat "t" in
+        Join
+          { kind = Inner;
+            pred = true_;
+            left = s;
+            right = Join { kind = Inner; pred = eq (List.nth rcols 1) (List.hd tcols); left = r; right = tt }
+          }
+      in
+      let indexed kind =
         let s, scols = scan cat "s" and u, ucols = scan cat "u" in
-        let sb = List.nth scols 1 and ug = List.hd ucols in
-        Join { kind; pred = eq sb ug; left = s; right = u }
+        Join { kind; pred = eq (List.nth scols 1) (List.hd ucols); left = s; right = u }
       in
-      [ t "s join u on pk" (mk Inner); t "s semijoin u on pk" (mk Semi) ]
-  | "join-commute" ->
-      let j, _, _, _, _ = s_r_join () in
-      [ t "s join r" j ]
-  | "join-associate" ->
-      let j, _, _, _, rd = s_r_join () in
-      let tt, tcols = scan cat "t" in
-      let te = List.hd tcols in
-      [ t "(s join r) join t" (Join { kind = Inner; pred = eq rd te; left = j; right = tt }) ]
-  | "filter-pullup" ->
-      let s, scols = scan cat "s" and r, rcols = scan cat "r" in
-      let sb = List.nth scols 1 in
-      let rc = List.nth rcols 0 and rd = List.nth rcols 1 in
-      [ t "s join (filter r)"
-          (Join { kind = Inner; pred = eq sb rc; left = s; right = Select (gt0 rd, r) })
-      ]
-  | "project-pullup" ->
-      let s, scols = scan cat "s" and r, rcols = scan cat "r" in
-      let sb = List.nth scols 1 in
-      let rc = List.nth rcols 0 and rd = List.nth rcols 1 in
-      let p1 = Col.fresh "p1" Value.TInt and p2 = Col.fresh "p2" Value.TInt in
-      let proj =
-        Project
-          ( [ { expr = ColRef rc; out = p1 };
-              { expr = Arith (Add, ColRef rd, Const (Value.Int 1)); out = p2 }
-            ],
-            r )
-      in
-      [ t "s join (project r)"
-          (Join { kind = Inner; pred = eq sb p1; left = s; right = proj })
+      [ t "(s join r) join t" chain;
+        t "s cross (r join t)" cross;
+        t "s join u on pk" (indexed Inner);
+        t "s semijoin u on pk" (indexed Semi)
       ]
   | "oj-simplify" ->
       (* a null-rejecting filter above the outerjoin, directly and
@@ -657,7 +648,8 @@ let pass_rule name (f : op -> op) : Optimizer.Search.rule =
 let builtin_specs () : Catalog.t * rule_spec list =
   let cat = prover_catalog () in
   let env = Catalog.props_env cat in
-  let rules = Optimizer.Search.rules_for Optimizer.Config.full ~env ~cat in
+  let stats = Optimizer.Stats.create (Storage.Database.create cat) in
+  let rules = Optimizer.Search.rules_for Optimizer.Config.full stats ~env in
   let rule_specs =
     List.map
       (fun (r : Optimizer.Search.rule) ->

@@ -73,6 +73,23 @@ let dedup_conjuncts (p : expr) : expr =
       if Stdlib.compare rebuilt p = 0 then p else rebuilt
   | _ -> p (* one conjunct: nothing to drop *)
 
+(* Does the projection pass every column aggregation [o] reads (its
+   grouping keys, its arguments' columns) through under its own id, and
+   compute nothing?  Then the aggregation can read its input directly. *)
+let passes_through projs (o : op) =
+  let keys, aggs =
+    match o with
+    | GroupBy { keys; aggs; _ } | LocalGroupBy { keys; aggs; _ } -> (keys, aggs)
+    | ScalarAgg { aggs; _ } -> ([], aggs)
+    | _ -> ([], [])
+  in
+  let args = List.filter_map (fun (a : agg) -> agg_input_expr a.fn) aggs in
+  List.for_all (fun p -> match p.expr with ColRef _ -> true | _ -> false) projs
+  && (not (List.exists Expr.has_subquery args))
+  && Col.Set.for_all
+       (fun c -> List.exists (fun p -> Col.equal p.out c && p.expr = ColRef c) projs)
+       (List.fold_left (fun s e -> Col.Set.union (Expr.cols e) s) (Col.Set.of_list keys) args)
+
 let simplify_node (o : op) : op =
   match o with
   | Select (p, i) -> (
@@ -89,6 +106,11 @@ let simplify_node (o : op) : op =
       let pred = dedup_conjuncts a.pred in
       if pred == a.pred then o else Apply { a with pred }
   | Project (projs, i) when is_identity_project projs i -> i
+  | ( GroupBy { input = Project (projs, i); _ }
+    | LocalGroupBy { input = Project (projs, i); _ }
+    | ScalarAgg { input = Project (projs, i); _ } )
+    when passes_through projs o ->
+      Op.with_children o [ i ]
   | Project (projs, Project (inner, i)) ->
       (* merge project-over-project by substitution *)
       let sub = Expr.subst_of_projs inner in

@@ -160,14 +160,26 @@ let node_card env (o : op) (kids : float list) : float =
   | Except _, [ cl; _ ] -> cl
   | _ -> invalid_arg "Card.node_card: arity mismatch"
 
-(* One bottom-up walk: every node is analysed by the property engine
-   (or its properties taken from [env.known]), estimated and clamped
-   exactly once, and [f o card fd kids] derives a
-   per-node value (the cost model's) from the node's estimate, its
-   properties and its children's (estimate, properties, value)
-   triples, in [Op.children] order.  A SegmentApply's inner is walked with
-   [hole_card] set to the expected rows per segment. *)
-let fold env (f : op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) (o : op) : float * 'a =
+(* One node of [fold]: the node is analysed by the property engine (or
+   its properties taken from [env.known]), estimated and clamped, and
+   [f o card fd kids] derives a per-node value (the cost model's) from
+   the node's estimate, its properties and its children's (estimate,
+   properties, value) triples, in [Op.children] order. *)
+let step env (f : op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) (o : op)
+    (kids : (float * Fd.t * 'a) list) : float * Fd.t * 'a =
+  let fd =
+    match List.assq_opt o env.known with
+    | Some fd -> fd
+    | None -> Fd.step ~env:env.props o (List.map (fun (_, fd, _) -> fd) kids)
+  in
+  let card = clamp fd (node_card env o (List.map (fun (c, _, _) -> c) kids)) in
+  (card, fd, f o card fd kids)
+
+(* One bottom-up walk: [step] at every node, each node once.  A
+   SegmentApply's inner is walked with [hole_card] set to the expected
+   rows per segment. *)
+let fold env (f : op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) (o : op) :
+    float * Fd.t * 'a =
   let rec walk o =
     let kids =
       match o with
@@ -181,15 +193,10 @@ let fold env (f : op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) (o : op
           [ ko; ki ]
       | o -> List.map walk (Op.children o)
     in
-    let fd =
-      match List.assq_opt o env.known with
-      | Some fd -> fd
-      | None -> Fd.step ~env:env.props o (List.map (fun (_, fd, _) -> fd) kids)
-    in
-    let card = clamp fd (node_card env o (List.map (fun (c, _, _) -> c) kids)) in
-    (card, fd, f o card fd kids)
+    step env f o kids
   in
-  let card, _, v = walk o in
-  (card, v)
+  walk o
 
-let estimate env (o : op) : float = fst (fold env (fun _ _ _ _ -> ()) o)
+let estimate env (o : op) : float =
+  let card, _, () = fold env (fun _ _ _ _ -> ()) o in
+  card

@@ -35,6 +35,15 @@ val selectivity : env -> expr -> float
 (** Expected group count for grouping columns over [n] input rows. *)
 val group_card : env -> Col.t list -> float -> float
 
+(** [step env f o kids]: one node of {!fold}, from its children's
+    (rows, props, value) triples in {!Relalg.Op.children} order — for a
+    caller that builds a tree bottom-up and keeps its subtrees'
+    triples, such as join enumeration.  A SegmentApply's inner triple
+    must have been derived with [hole_card] set as {!fold} sets it. *)
+val step :
+  env -> (op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) -> op ->
+  (float * Fd.t * 'a) list -> float * Fd.t * 'a
+
 (** [fold env f o] walks [o] bottom-up once.  At each node it derives
     the node's properties with {!Relalg.Fd.step} from the children's
     (or takes them from [env.known]),
@@ -42,9 +51,10 @@ val group_card : env -> Col.t list -> float -> float
     cardinality interval, and derives a value with
     [f node rows props kids], where [kids] are the children's
     (rows, props, value) triples in {!Relalg.Op.children} order.  Returns the
-    root's pair.  The cost model is computed this way, in the same walk
+    root's triple.  The cost model is computed this way, in the same walk
     as the cardinalities it consumes. *)
-val fold : env -> (op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) -> op -> float * 'a
+val fold :
+  env -> (op -> float -> Fd.t -> (float * Fd.t * 'a) list -> 'a) -> op -> float * Fd.t * 'a
 
 (** Estimated output rows of a tree ([fold] without a per-node value),
     clamped to the cardinality interval proven by the symbolic property

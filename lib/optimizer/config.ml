@@ -11,7 +11,7 @@ type t = {
   local_agg : bool;  (** Section 3.3 eager local aggregation *)
   segment_apply : bool;  (** Section 3.4 segmented execution *)
   correlated_exec : bool;  (** re-introduce index-lookup Apply (Section 4) *)
-  join_reorder : bool;  (** inner-join commute/associate (exposes patterns) *)
+  join_reorder : bool;  (** inner-join orders enumerated over the join graph *)
   property_rewrites : bool;
       (** rewrites proven by the symbolic property engine: FD-derived
           keys, cardinality intervals (GroupBy elimination, Max1row

@@ -11,7 +11,7 @@ type t = {
   local_agg : bool;  (** §3.3 eager local aggregation *)
   segment_apply : bool;  (** §3.4 segmented execution *)
   correlated_exec : bool;  (** re-introduce index-lookup Apply (§4) *)
-  join_reorder : bool;  (** inner-join commute/associate/pull-ups *)
+  join_reorder : bool;  (** inner-join orders enumerated over the join graph *)
   property_rewrites : bool;
       (** rewrites proven by the symbolic property engine (FD-derived
           keys, cardinality intervals) *)

@@ -24,8 +24,15 @@ val has_equi : expr -> Col.Set.t -> Col.Set.t -> bool
     declared index on an equality column.  Returns (table, column). *)
 val apply_index_path : Catalog.t -> op -> (string * string) option
 
-(** Cost of a tree under a cardinality environment, computed in the
-    same bottom-up walk ({!Card.fold}) as the cardinalities it uses. *)
+(** The root's (rows, properties, cost) triple, computed in the same
+    bottom-up walk ({!Card.fold}) as the cardinalities the cost uses. *)
+val fold : Card.env -> Catalog.t -> op -> float * Fd.t * float
+
+(** One node of {!fold}, from its children's triples ({!Card.step}). *)
+val step :
+  Card.env -> Catalog.t -> op -> (float * Fd.t * float) list -> float * Fd.t * float
+
+(** The cost component of {!fold}. *)
 val cost : Card.env -> Catalog.t -> op -> float
 
 (** Convenience: build the environment from statistics and cost. *)

@@ -1,17 +1,19 @@
 (** Cost-based plan search.
 
-    A beam-directed transformation closure with memoized deduplication:
-    a compact stand-in for the Volcano/Cascades engine of the paper's
-    Section 4, preserving its architecture (orthogonal local rules +
-    cost-based choice). *)
+    A beam over whole plans with memoized deduplication: a compact
+    stand-in for the Volcano/Cascades engine of the paper's Section 4,
+    preserving its architecture (orthogonal local rules + cost-based
+    choice).  Inner-join orders come from one rule, [join-enumerate]
+    ({!Join_order}), which enumerates a whole block per firing. *)
 
 open Relalg
 open Relalg.Algebra
 
 type rule = { name : string; apply : op -> op list }
 
-(** The rule set enabled by a configuration. *)
-val rules_for : Config.t -> env:Props.env -> cat:Catalog.t -> rule list
+(** The rule set enabled by a configuration, costing join orders with
+    [stats]. *)
+val rules_for : Config.t -> Stats.t -> env:Props.env -> rule list
 
 (** Fire a rule at every node, returning one whole tree per firing. *)
 val apply_everywhere : rule -> op -> op list

@@ -71,7 +71,7 @@ let core_is_interesting = function
   | TableScan _ | Join _ | Select _ | Project _ -> true
   | _ -> false
 
-let introduce (o : op) : op option =
+let intro (o : op) : op option =
   match o with
   | Join { kind = (Inner | Semi | Anti | LeftOuter) as kind; pred; left = x; right = y } -> (
       let p = peel y in
@@ -154,6 +154,26 @@ let introduce (o : op) : op option =
               Some (Project (projs, sa))
             end)
   | _ -> None
+
+let introduce (o : op) : op option =
+  match intro o with
+  | Some _ as t -> t
+  | None -> (
+      (* an inner join is symmetric, and an index-lookup Apply is the
+         join it probes (identity (2)): X ⋈ f(X') may stand either way
+         round *)
+      let swapped =
+        match o with
+        | Join { kind = Inner; pred; left; right } ->
+            Some (Join { kind = Inner; pred; left = right; right = left })
+        | Apply { kind = Inner; pred; left; right = Select (p, (TableScan _ as x)) }
+          when is_true_const pred && not (Expr.has_subquery p) ->
+            Some (Join { kind = Inner; pred = p; left = x; right = left })
+        | _ -> None
+      in
+      match swapped with
+      | Some j -> Option.map (Op.project_restore (Op.schema o)) (intro j)
+      | None -> None)
 
 (* --- 3.4.2: push a join below SegmentApply --------------------------- *)
 

@@ -305,7 +305,7 @@ let golden_exists =
 let golden_q1 =
   "== subquery class ==\n\
    class 1 (fully flattened)\n\
-   == chosen plan, analyzed (cost 4555, seed 7510, 50 alternatives) ==\n\
+   == chosen plan, analyzed (cost 4555, seed 7510, 20 alternatives) ==\n\
    Project[c_custkey#1:=c_custkey#2]  (inv=1 in=99 out=99)\n\
   \  Select[(500000 < sum#3)]  (inv=1 in=150 out=99)\n\
   \    GroupBy[c_custkey#2][sum#3:=sum(o_totalprice#4)]  (inv=1 in=1500 out=150 hash-build=150)\n\

@@ -216,18 +216,71 @@ let test_stats_ndv () =
   (* cached second call *)
   Alcotest.(check int) "cached" 5 (Optimizer.Stats.ndv stats "region" "r_regionkey")
 
+(* --- join enumeration ------------------------------------------------ *)
+
+let is_apply_into table = function
+  | Apply { right = Select (_, TableScan { table = t; _ }); _ } -> t = table
+  | _ -> false
+
+(* an inner join with no equality between its sides, other than one
+   between two segment placeholders (a SegmentApply's segment is
+   joined with itself) *)
+let has_keyless_join (o : op) =
+  Op.exists_op
+    (function
+      | Join { kind = Inner; pred; left; right } ->
+          (not (Optimizer.Cost.has_equi pred (Op.schema_set left) (Op.schema_set right)))
+          && not (match left, right with SegmentHole _, SegmentHole _ -> true | _ -> false)
+      | _ -> false)
+    o
+
+(* TPC-H Q2 normalizes to a block with a cross product (part and
+   supplier are joined only through partsupp); the enumerator orders the
+   block along its edges, and offers (and here chooses) the index probe
+   from part into partsupp that the rule closure found. *)
+let test_q2_join_graph () =
+  let eng = Engine.create (Lazy.force Support.tpch_sf001) in
+  let p = Engine.prepare ~use_cache:false eng Workloads.q2 in
+  let cross = function Join { kind = Inner; pred; _ } -> is_true_const pred | _ -> false in
+  Alcotest.(check bool) "normalized block has part x supplier" true
+    (Op.exists_op cross p.stages.normalized);
+  Alcotest.(check bool) "no key-less join in the chosen plan" false (has_keyless_join p.plan);
+  Alcotest.(check bool) "index probe part -> partsupp" true
+    (Op.exists_op
+       (fun o ->
+         is_apply_into "partsupp" o
+         && match o with
+            | Apply { left; _ } -> Op.exists_op (function TableScan { table = "part"; _ } -> true | _ -> false) left
+            | _ -> false)
+       p.plan);
+  (* the rule closure's plan for Q2 cost 4966 at this scale *)
+  Alcotest.(check bool) (Printf.sprintf "cost %.0f <= 4966" p.plan_cost) true (p.plan_cost <= 4966.)
+
+(* A block whose graph is disconnected still plans (a cross product),
+   with the bag the correlated configuration computes. *)
+let test_disconnected_block () =
+  let eng = Engine.create (Lazy.force tpch) in
+  let sql =
+    "select n_name, r_name from nation, region, supplier \
+     where s_nationkey = n_nationkey and r_name = 'ASIA' and s_acctbal > 5000"
+  in
+  let p = Engine.prepare ~use_cache:false eng sql in
+  let corr = Engine.prepare ~use_cache:false ~config:Optimizer.Config.correlated_only eng sql in
+  Alcotest.(check bool) "enumerated" true (p.explored > 1);
+  Support.check_same_bag "disconnected block"
+    (Engine.execute eng corr).result.rows (Engine.execute eng p).result.rows
+
 (* Plan identity guard.  For Qgen seed 1, cases 0-47 (the statement
    shapes of the adhoc-cold benchmark), at SF 0.01 with the plan cache
    off and column ids reset before each statement, one line per case:
    the case, the chosen plan's cost bit for bit ([%h]), the number of
    explored alternatives and the MD5 of the plan's text.  The constant
-   is the MD5 of those 48 lines as the search produced them before
-   candidates were made cheap (one-pass costing, exact conjunct dedup,
-   sharing-preserving cleanup, duplicates dropped before verifying),
-   computed by running this function on that tree and printing the
-   digest.  A change that means to speed up the search must leave it
-   alone; one that means to change plans must update it and say why. *)
-let plan_identity_digest = "44ffb6809b0e16553d437b925112d43f"
+   is the MD5 of those 48 lines as the search produces them with join
+   orders enumerated over the isolated join graph (Join_order),
+   computed by running this function and printing the digest.  A change
+   that means to speed up the search must leave it alone; one that
+   means to change plans must update it and say why. *)
+let plan_identity_digest = "8bc917cb8477c993efaf42449822d6eb"
 
 let test_plan_identity () =
   let eng = Engine.create (Lazy.force Support.tpch_sf001) in
@@ -255,7 +308,7 @@ let test_shared_properties_cost_alike () =
   let stats = Optimizer.Stats.create db in
   let cat = Optimizer.Stats.catalog stats in
   let env = Catalog.props_env cat in
-  let rules = Optimizer.Search.rules_for Optimizer.Config.full ~env ~cat in
+  let rules = Optimizer.Search.rules_for Optimizer.Config.full stats ~env in
   let firings = ref 0 in
   for case = 0 to 47 do
     let p = Engine.prepare ~use_cache:false eng (Testgen.Qgen.sql_of ~seed:1 ~case) in
@@ -295,6 +348,8 @@ let suite =
     Alcotest.test_case "search improves cost" `Quick test_search_improves_cost;
     Alcotest.test_case "indexed apply correct" `Quick test_indexed_apply_chosen_for_small_outer;
     Alcotest.test_case "stats ndv" `Quick test_stats_ndv;
+    Alcotest.test_case "join graph: q2" `Quick test_q2_join_graph;
+    Alcotest.test_case "join graph: disconnected block" `Quick test_disconnected_block;
     Alcotest.test_case "plan identity guard" `Quick test_plan_identity;
     Alcotest.test_case "shared properties cost alike" `Quick test_shared_properties_cost_alike
   ]
