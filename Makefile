@@ -27,7 +27,12 @@ test:
 # plan census: one line per Qgen statement (seeds 1-5 x 200 cases, SF
 # 0.01, plan cache off) with the chosen plan's cost, explored count and
 # plan-text MD5, then the MD5 of all lines; a planner speed-up must
-# leave the final digest unchanged (see test/plan_census_main.ml)
+# leave the final digest unchanged (see test/plan_census_main.ml).  To
+# compare with a census saved from another build:
+#   dune exec test/plan_census_main.exe -- --against OTHER_CENSUS.txt
+# reports how many chosen costs rose, fell or stayed, lists every riser
+# and the statements whose search reached max_alternatives on each
+# side, and exits 1 if any cost rose
 plan-census:
 	dune exec test/plan_census_main.exe
 
