@@ -4,7 +4,10 @@
 
    Layout:
      - 2 mutator domains append rows to their own table (append-only,
-       so every monotone aggregate is an envelope invariant);
+       so every monotone aggregate is an envelope invariant), each at
+       least [appends-per-mutator] rows and then on until the plan
+       cache has recorded an invalidation, so the race ends only after
+       it has made a cached plan stale (the watchdog bounds it);
      - 1 reader domain loops cached single-statement queries with
        varying literals (plan-cache hits + rebinds + invalidations);
      - 1 reader domain loops [Engine.query_many] over a batch sharing
@@ -23,7 +26,7 @@
      - the plan cache recorded invalidations (the race was real)
 
    Usage: cache_hammer_main.exe [appends-per-mutator] [seed]
-     default 400 appends, seed 1 — `make cache-hammer`. *)
+     default at least 400 appends, seed 1 — `make cache-hammer`. *)
 
 let () =
   let argv = Sys.argv in
@@ -89,6 +92,9 @@ let () =
   in
 
   let mutators_done = Atomic.make 0 in
+  let invalidated () =
+    match Engine.cache_stats eng with Some s -> s.Engine.plan_invalidations > 0 | None -> false
+  in
   let mutator table salt =
     Domain.spawn (fun () ->
         let st = ref (((seed + salt) * 2654435761) land 0x3FFFFFFF) in
@@ -96,10 +102,12 @@ let () =
           st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
           !st mod n
         in
-        for i = 1 to n_appends do
+        let i = ref 0 in
+        while !i < n_appends || not (invalidated ()) do
+          incr i;
           Engine.append_row eng table
-            [| Relalg.Value.Int (100 + i); Relalg.Value.Int (next 1000) |];
-          if i mod 50 = 0 then Domain.cpu_relax ()
+            [| Relalg.Value.Int (100 + !i); Relalg.Value.Int (next 1000) |];
+          if !i mod 50 = 0 then Domain.cpu_relax ()
         done;
         Atomic.incr mutators_done)
   in
@@ -189,7 +197,7 @@ let () =
 
   let s = Option.get (Engine.cache_stats eng) in
   Printf.printf
-    "cache hammer: %d envelope checks, %d appends/mutator\n\
+    "cache hammer: %d envelope checks, at least %d appends/mutator\n\
      plan cache: %d hits, %d misses, %d invalidations, %d single-flight waits\n\
      cse: %d hits, %d materializations, %d invalidations\n"
     (Atomic.get envelope_checks) n_appends s.Engine.plan_hits s.Engine.plan_misses
