@@ -1174,24 +1174,26 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
   let lpos = positions lschema in
   let param_ids = Array.of_list (List.map (fun (c : Col.t) -> c.Col.id) params) in
   let nparams = Array.length param_ids in
-  let rewrite = if nparams = 0 then None else detect_apply_rewrite v right in
+  (* the inner's access path is worked out on the first outer batch: an
+     Apply whose outer is empty pays nothing for it *)
+  let rewrite = lazy (if nparams = 0 then None else detect_apply_rewrite v right) in
   let true_pred = is_true_const pred in
   let pred_of = pred_eval v pred in
   let cpos = lazy (positions out_schema) in
   let ctx = v.ctx in
   (* hoist the probe-path cache lookup out of the per-binding loop —
      the row engine's [exec_apply] does the same for its per-row loop *)
-  let probe = Ex.probe_path ctx right in
-  let run_binding : (Ex.lookup -> Ex.row list) =
-    match probe with
-    | Some f ->
-        fun env ->
-          ctx.Ex.apply_invocations <- ctx.Ex.apply_invocations + 1;
-          ctx.Ex.rows_processed <- ctx.Ex.rows_processed + 1;
-          Ex.check_budget ctx;
-          (match node with Some nd -> Metrics.add_fast_hit nd | None -> ());
-          f env
-    | None -> fun env -> fst (Ex.run_inner ctx env right)
+  let run_binding : (Ex.lookup -> Ex.row list) Lazy.t =
+    lazy
+      (match Ex.probe_path ctx right with
+      | Some f ->
+          fun env ->
+            ctx.Ex.apply_invocations <- ctx.Ex.apply_invocations + 1;
+            ctx.Ex.rows_processed <- ctx.Ex.rows_processed + 1;
+            Ex.check_budget ctx;
+            (match node with Some nd -> Metrics.add_fast_hit nd | None -> ());
+            f env
+      | None -> fun env -> fst (Ex.run_inner ctx env right))
   in
   (* Semi/Anti under a constant-true predicate only need existence per
      binding — no pair construction, no row materialization; with an
@@ -1200,7 +1202,7 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
     match kind with Semi | Anti -> true_pred | _ -> false
   in
   let exists_probe =
-    if existence_only then Ex.probe_exists_path ctx right else None
+    lazy (if existence_only then Ex.probe_exists_path ctx right else None)
   in
   let param_pos =
     Array.of_list
@@ -1256,13 +1258,13 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
           go 0
     in
     let result =
-      match rewrite with
+      match Lazy.force rewrite with
       | None when existence_only ->
           (* existence only: no pair construction, no predicate pass,
              and the inner row lists are never materialized as arrays *)
           let want = kind = Semi in
           let nonempty =
-            match exists_probe with
+            match Lazy.force exists_probe with
             | Some f ->
                 Array.init ng (fun g ->
                     cursor := g;
@@ -1276,7 +1278,7 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
             | None ->
                 Array.init ng (fun g ->
                     cursor := g;
-                    match run_binding cursor_env with
+                    match Lazy.force run_binding cursor_env with
                     | [] -> false
                     | _ :: _ -> true)
           in
@@ -1287,12 +1289,12 @@ and compile_apply (v : vctx) node (kind : join_kind) (pred : expr) (left : op)
           Batch.take lb (Ints.to_array keep)
       | _ ->
           let group_rows =
-            match rewrite with
+            match Lazy.force rewrite with
             | Some rw -> run_rewrite v rw ng env_of
             | None ->
                 Array.init ng (fun g ->
                     cursor := g;
-                    Array.of_list (run_binding cursor_env))
+                    Array.of_list (Lazy.force run_binding cursor_env))
           in
           (match kind with
           | (Semi | Anti) when true_pred ->
