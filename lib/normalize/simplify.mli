@@ -15,6 +15,10 @@ val const_fold : expr -> expr
     input is returned physically when the rebuild equals it. *)
 val dedup_conjuncts : expr -> expr
 
+(** One node of {!cleanup}: the node simplified over its children as
+    they stand; the node itself, physically, when nothing applies. *)
+val simplify_node : op -> op
+
 (** Single-pass bottom-up cleanup: elide trivial selects/projections,
     merge stacked selects and projections, dedup conjuncts.  Subtrees
     with nothing to clean come back physically unchanged. *)

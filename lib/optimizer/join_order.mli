@@ -4,11 +4,11 @@
     At the root of a block of inner joins, selections and projections,
     the block is lifted out as a graph (vertices: the maximal subtrees
     that are not block operators; edges: the conjuncts over two
-    vertices and the column-equality closure) and its orders are
-    enumerated by dynamic programming over connected subgraphs, costed
-    with the search's own cost model.  The search registers {!rule} as
-    [join-enumerate]. *)
+    vertices and the column-equality closure).  The plan search
+    ({!Search}) fills one memo group per connected vertex set from the
+    graph's csg-cmp pairs and registers the whole as [join-enumerate]. *)
 
+open Relalg
 open Relalg.Algebra
 
 (** [index_apply ~cat kind pred left right]: the join as an Apply whose
@@ -18,27 +18,46 @@ open Relalg.Algebra
     (paper Section 4). *)
 val index_apply : cat:Catalog.t -> join_kind -> expr -> op -> op -> op option
 
-(** The joins of a plan that lie inside a block rooted at another join
-    above them, physically. *)
-val interior_joins : op -> op list
+(** A join of a block: an inner join, or the index-lookup Apply
+    {!index_apply} makes (identity (2)). *)
+val is_join : op -> bool
 
-(** The [join-enumerate] rule.  At the root join of a block, when
-    [reorder]: the block's cheapest plan, the plans that estimate fewer
-    rows at a higher cost, and, when a vertex is an aggregate, the
-    cheapest plan of every top-level split; each keeps the block's
-    output columns.  A block already enumerated in this instance's
-    lifetime (one search) yields only its cheapest plan, none when the
-    site is a plan it yielded.  At any other join, when [with_apply],
-    the join as an index-lookup Apply ({!index_apply}).  [interior]
-    tells the joins inside a block apart (they yield nothing);
-    [card_env] gives the cardinality environment a block is costed
-    under.  Each application of the labelled arguments makes a rule
-    with its own memo: make one per search. *)
-val rule :
-  cat:Catalog.t ->
-  reorder:bool ->
-  with_apply:bool ->
-  card_env:(op -> Card.env) ->
-  interior:(op -> bool) ->
-  op ->
-  op list
+type graph = {
+  vertices : op array;  (** the subtrees, in canonical order *)
+  locals : expr list array;  (** each vertex's single-vertex conjuncts *)
+  classes : (int * Col.t) list array;
+      (** equality classes: (vertex, column) members, by column id *)
+  multi : (int * int * expr) list;
+      (** conjuncts over two or more vertices: vertex mask, the class of
+          a column equality (-1 for any other conjunct), conjunct *)
+  nbr : int array;  (** adjacency bitmasks *)
+  outs : proj list;  (** the block's output columns over vertex columns *)
+}
+
+(** The block rooted at a join, as a graph.  [view] may replace each
+    node below the root by an equivalent one before it is classified:
+    a plan search passes the member of the node's group that continues
+    the block, if any. *)
+val isolate : ?view:(op -> op) -> op -> graph
+
+(** Does the node reach an inner join through selections and
+    projections of a block? *)
+val has_join : op -> bool
+
+(** The predicate joining vertex sets [l] and [r] (bitmasks): every
+    conjunct that needs both, and the equalities the closure implies
+    between them. *)
+val pred_between : graph -> int -> int -> expr
+
+(** Every csg-cmp pair of the graph, each unordered pair once. *)
+val ccp_pairs : int array -> (int * int) list
+
+(** What a vertex set applies besides its vertices' own filters: its
+    other multi-vertex conjuncts, and its equality classes by column
+    id.  Equal for two graphs' sets that denote the same join. *)
+val within : graph -> int -> expr list * int list list
+
+val popcount : int -> int
+
+(** Blocks beyond this many vertices keep their written order. *)
+val max_vertices : int

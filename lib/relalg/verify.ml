@@ -138,7 +138,9 @@ let free_of (local : Col.Set.t) (kids : (Col.t list * Col.Set.t) list) : Col.Set
     (fun acc (sch, _) -> List.fold_left (fun acc c -> Col.Set.remove c acc) acc sch)
     used kids
 
-let check ?expect_schema (root : op) : violation list =
+(* [given]: the (schema, free) pairs of [root]'s children, physically
+   matched, when only [root] itself is to be checked ({!check_node}) *)
+let check_gen ?expect_schema ?given (root : op) : violation list * (Col.t list * Col.Set.t) =
   let viols = ref [] in
   let add node kind = viols := { kind; node } :: !viols in
   (* A node reports its own violations before its children's, but
@@ -163,6 +165,10 @@ let check ?expect_schema (root : op) : violation list =
      the children's, so the whole check is one walk. *)
   let rec walk ~(bound : Col.t list list) ~(holes : Col.t Col.IdMap.t) (o : op) :
       Col.t list * Col.Set.t =
+    let given = match given with Some kids when o == root -> Some kids | _ -> None in
+    let sub ~bound ~holes c =
+      match given with Some kids -> List.assq c kids | None -> walk ~bound ~holes c
+    in
     let dup_check cols =
       let rec go seen = function
         | [] -> ()
@@ -214,7 +220,7 @@ let check ?expect_schema (root : op) : violation list =
        violations given the input's schema and returns the local
        expressions' references *)
     let unary input f =
-      let ((is, _) as ki), mine = apart (fun () -> walk ~bound ~holes input) in
+      let ((is, _) as ki), mine = apart (fun () -> sub ~bound ~holes input) in
       let local = f is in
       splice mine;
       (is, free_of local [ ki ])
@@ -273,12 +279,12 @@ let check ?expect_schema (root : op) : violation list =
         (* each side is walked with the other's columns bound: a leak is
            reported once, at this node, and cascaded unresolved-column
            reports in the subtrees are suppressed *)
-        let rs0 = Op.schema right in
+        let rs0 = match given with Some kids -> fst (List.assq right kids) | None -> Op.schema right in
         let ((ls, lfree) as kl), lv =
-          apart (fun () -> walk ~bound:(rs0 :: bound) ~holes left)
+          apart (fun () -> sub ~bound:(rs0 :: bound) ~holes left)
         in
         let ((rs, rfree) as kr), rv =
-          apart (fun () -> walk ~bound:(ls :: bound) ~holes right)
+          apart (fun () -> sub ~bound:(ls :: bound) ~holes right)
         in
         disjoint_check ls rs;
         let leak free side = Col.Set.filter (fun (c : Col.t) -> produces side c.Col.id) free in
@@ -308,10 +314,10 @@ let check ?expect_schema (root : op) : violation list =
         let sch = match kind with Semi | Anti -> ls | Inner | LeftOuter -> ls @ rs in
         (sch, free_of local [ kl; kr ])
     | SegmentApply { seg_cols; outer; inner } ->
-        let ((os, _) as ko), ov = apart (fun () -> walk ~bound ~holes outer) in
+        let ((os, _) as ko), ov = apart (fun () -> sub ~bound ~holes outer) in
         let omap = to_map os in
         let ((is_, _) as ki), iv =
-          apart (fun () -> walk ~bound:(os :: bound) ~holes:(merge holes omap) inner)
+          apart (fun () -> sub ~bound:(os :: bound) ~holes:(merge holes omap) inner)
         in
         disjoint_check os is_;
         List.iter
@@ -343,8 +349,8 @@ let check ?expect_schema (root : op) : violation list =
         in
         (outs, free)
     | UnionAll (l, r) | Except (l, r) ->
-        let ((ls, _) as kl), lv = apart (fun () -> walk ~bound ~holes l) in
-        let ((rs, _) as kr), rv = apart (fun () -> walk ~bound ~holes r) in
+        let ((ls, _) as kl), lv = apart (fun () -> sub ~bound ~holes l) in
+        let ((rs, _) as kr), rv = apart (fun () -> sub ~bound ~holes r) in
         if List.length ls <> List.length rs then
           add o
             (Union_mismatch
@@ -373,7 +379,7 @@ let check ?expect_schema (root : op) : violation list =
         in
         (is @ [ out ], free)
   in
-  let got, _ = walk ~bound:[] ~holes:Col.IdMap.empty root in
+  let ((got, _) as top) = walk ~bound:[] ~holes:Col.IdMap.empty root in
   (match expect_schema with
   | None -> ()
   | Some expected ->
@@ -390,7 +396,25 @@ let check ?expect_schema (root : op) : violation list =
                 (Schema_mismatch
                    (Printf.sprintf "expected %s, got %s" (cols_str [ e ]) (cols_str [ g ]))))
           expected got);
-  List.rev !viols
+  (List.rev !viols, top)
+
+let check ?expect_schema (root : op) : violation list = fst (check_gen ?expect_schema root)
+
+(* One node against its children's (schema, free) pairs.  A reference
+   no child produces is free here, not unresolved: an enclosing Apply
+   or SegmentApply may bind it, which only the caller can tell, from
+   the free set returned; likewise a SegmentHole's binding. *)
+let check_node (o : op) (kids : (Col.t list * Col.Set.t) list) :
+    violation list * Col.t list * Col.Set.t =
+  let vs, (schema, free) = check_gen ~given:(List.combine (Op.children o) kids) o in
+  ( List.filter
+      (fun v ->
+        match v.kind with
+        | Unresolved_column _ | Orphan_hole | Hole_src_unbound _ -> false
+        | _ -> true)
+      vs,
+    schema,
+    free )
 
 (* ------------------------------------------------------------------ *)
 (* Rule-specific semantic re-checks.                                  *)

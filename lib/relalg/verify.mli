@@ -41,6 +41,16 @@ val violation_to_string : violation -> string
     positionally.  Returns all violations found, outermost first. *)
 val check : ?expect_schema:Col.t list -> op -> violation list
 
+(** The invariants of one node, given its children's output schemas
+    and free references in {!Op.children} order, as {!check}'s walk
+    derives them; returns the node's own violations, its schema and
+    its free references.  A reference no child produces counts as free
+    rather than unresolved, and a SegmentHole as bound: only the caller
+    knows what encloses the node.  Lets a plan search verify a new
+    expression over already-verified inputs without walking them. *)
+val check_node :
+  op -> (Col.t list * Col.Set.t) list -> violation list * Col.t list * Col.Set.t
+
 (** Re-derive the semantic preconditions of a named rewrite rule on the
     (before, after) pair of one firing — the paper's Section 3.1
     three-condition push test, the Section 3.2 outerjoin compensation,

@@ -312,8 +312,13 @@ let test_segment_apply_join_pushdown () =
    toy database's statistics *)
 let enumerate ?(reorder = true) (o : op) : op list =
   let stats = Optimizer.Stats.create (Lazy.force db) in
-  Optimizer.Join_order.rule ~cat:(cat ()) ~reorder ~with_apply:true
-    ~card_env:(Optimizer.Card.make_env stats) ~interior:(fun _ -> false) o
+  let cfg = { Optimizer.Config.full with join_reorder = reorder; correlated_exec = true } in
+  let rule =
+    List.find
+      (fun (r : Optimizer.Search.rule) -> r.name = "join-enumerate")
+      (Optimizer.Search.rules_for cfg stats ~env:(Catalog.props_env (cat ())))
+  in
+  rule.apply o
 
 let test_join_to_indexed_apply () =
   (* emp has an index on dept: the join can execute as index-lookup
