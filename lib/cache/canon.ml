@@ -432,7 +432,7 @@ let ranks (ls : lit list) : int list =
       List.sort_uniq cmp_in_class (List.filter (fun l' -> cls l' = c) ls)
     in
     let rec idx i = function
-      | [] -> assert false
+      | [] -> Relalg.Invariant.broken "Canon.ranks: a literal is missing from its own class"
       | d :: rest -> if cmp_in_class d l = 0 then i else idx (i + 1) rest
     in
     idx 0 distinct

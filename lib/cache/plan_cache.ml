@@ -174,7 +174,7 @@ let find_or_compute (t : 'a t) ~(key : string) ~(current_gen : string -> int)
           | Some (Error e) ->
               Mutex.unlock t.mu;
               raise e
-          | None -> assert false)
+          | None -> Relalg.Invariant.broken "Plan_cache: an in-flight entry woke its waiters without an outcome")
       | None -> compute_inflight t ~key ~stale:false ~compute)
 
 (* Test hook: does the cache currently hold a live entry for [key]? *)

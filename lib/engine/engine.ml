@@ -295,7 +295,11 @@ let cached_prepare (c : caches) ~(config : Optimizer.Config.t) (t : t) (sql : st
     | `Hit (Exact p) -> finish `Hit p
     | `Miss (Exact p) -> finish `Miss p
     | `Stale (Exact p) -> finish `Stale p
-    | _ -> assert false (* exact keys only ever hold [Exact] *)
+    | _ ->
+        raise
+          (Errors.Error
+             (Errors.make ~sql Errors.Plan
+                "broken invariant: an exact plan-cache key holds a parameterised entry"))
   in
   let reals = List.map Cache.Canon.value_of_lit canon.literals in
   if
@@ -347,7 +351,10 @@ let cached_prepare (c : caches) ~(config : Optimizer.Config.t) (t : t) (sql : st
     | `Miss (Param s) -> rebind `Miss s
     | `Stale (Param s) -> rebind `Stale s
     | `Hit (Exact _) | `Miss (Exact _) | `Stale (Exact _) ->
-        assert false (* canonical keys never hold [Exact] *)
+        raise
+          (Errors.Error
+             (Errors.make ~sql Errors.Plan
+                "broken invariant: a canonical plan-cache key holds an exact entry"))
   end
 
 let prepare ?(config = Optimizer.Config.full) ?must ?(record_trace = false)

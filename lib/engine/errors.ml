@@ -91,6 +91,7 @@ let of_exn ?sql (exn : exn) : t option =
   | Exec.Faults.Injected { kind; call } ->
       Some (make ?sql Fault (Exec.Faults.injected_to_string kind call))
   | Storage.Codec.Storage_corrupt m -> Some (make ?sql Storage m)
+  | Relalg.Invariant.Broken m -> Some (make ?sql Plan ("broken invariant: " ^ m))
   | Storage.Io_faults.Crash { kind; op } ->
       Some (make ?sql Fault (Storage.Io_faults.crash_to_string kind op))
   | _ -> None

@@ -36,6 +36,20 @@ let test_checked_phases () =
     (phase_of (Engine.query_checked eng "select ? from emp"));
   Alcotest.(check string) "ok" "ok" (phase_of (Engine.query_checked eng "select eid from emp"))
 
+(* A broken internal invariant below the engine (plan cache, literal
+   canonicalisation, join-graph isolation) surfaces as a typed planning
+   error that names it, not as an escaping assert. *)
+let test_broken_invariant_typed () =
+  match
+    Engine.Errors.protect ~sql:"select 1" (fun () ->
+        Relalg.Invariant.broken "Plan_cache: an in-flight entry woke its waiters without an outcome")
+  with
+  | Error e ->
+      Alcotest.(check string) "phase" "plan" (Engine.Errors.phase_to_string e.phase);
+      Alcotest.(check bool) "names the invariant" true
+        (contains ~sub:"broken invariant: Plan_cache" e.message)
+  | Ok () -> Alcotest.fail "expected a typed error"
+
 let test_max1row_through_engine () =
   (* Max1row violation reaches Engine.execute as a typed runtime error:
      dept 1 has two employees, so the scalar subquery is ambiguous *)
@@ -218,6 +232,7 @@ let test_check_workloads_tpch () =
 let suite =
   [ Alcotest.test_case "typed error phases" `Quick test_checked_phases;
     Alcotest.test_case "max1row through engine" `Quick test_max1row_through_engine;
+    Alcotest.test_case "broken invariant is typed" `Quick test_broken_invariant_typed;
     Alcotest.test_case "error rendering" `Quick test_error_rendering;
     Alcotest.test_case "budget: rows" `Quick test_budget_rows;
     Alcotest.test_case "budget: applies" `Quick test_budget_apply;
