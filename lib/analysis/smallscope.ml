@@ -643,7 +643,7 @@ let check_rule ?(k = 2) (cat : Catalog.t) (spec : rule_spec) : report =
 (* ------------------------------------------------------------------ *)
 
 let pass_rule name (f : op -> op) : Optimizer.Search.rule =
-  { name; apply = (fun o -> let o' = f o in if o' = o then [] else [ o' ]) }
+  Optimizer.Search.make_rule name (fun o -> let o' = f o in if o' = o then [] else [ o' ])
 
 let builtin_specs () : Catalog.t * rule_spec list =
   let cat = prover_catalog () in

@@ -156,14 +156,10 @@ let unsound_rule_refuted () =
   let r, rcols = Analysis.Smallscope.scan c "r" in
   let sb = List.nth scols 1 and rc = List.hd rcols in
   let tmpl = Join { kind = LeftOuter; pred = eq sb rc; left = s; right = r } in
-  let rule : Optimizer.Search.rule =
-    { name = "bogus-loj-to-inner";
-      apply =
-        (function
-        | Join { kind = LeftOuter; pred; left; right } ->
-            [ Join { kind = Inner; pred; left; right } ]
-        | _ -> []);
-    }
+  let rule =
+    Optimizer.Search.make_rule "bogus-loj-to-inner" (function
+      | Join { kind = LeftOuter; pred; left; right } -> [ Join { kind = Inner; pred; left; right } ]
+      | _ -> [])
   in
   let report =
     Analysis.Smallscope.check_rule c
@@ -179,7 +175,7 @@ let unsound_rule_refuted () =
 (* missing proof obligations are themselves a failure *)
 let vacuous_rule_fails () =
   let c = cat () in
-  let rule : Optimizer.Search.rule = { name = "never-fires"; apply = (fun _ -> []) } in
+  let rule = Optimizer.Search.make_rule "never-fires" (fun _ -> []) in
   let s, _ = Analysis.Smallscope.scan c "s" in
   let report =
     Analysis.Smallscope.check_rule c { sp_rule = rule; sp_templates = [ ("s", s) ] }

@@ -235,15 +235,11 @@ let test_filter_groupby_recheck () =
 (* a deliberately unsound rule: rewrites any Select into one whose
    predicate references a column no child produces *)
 let bad_rule =
-  { Optimizer.Search.name = "bad-ghost-filter";
-    apply =
-      (fun o ->
-        match o with
-        | Select (_, input) ->
-            [ Select (Cmp (Eq, ColRef (Col.fresh "ghost" Value.TInt), Const (Value.Int 0)), input)
-            ]
-        | _ -> []);
-  }
+  Optimizer.Search.make_rule "bad-ghost-filter" (fun o ->
+      match o with
+      | Select (_, input) ->
+          [ Select (Cmp (Eq, ColRef (Col.fresh "ghost" Value.TInt), Const (Value.Int 0)), input) ]
+      | _ -> [])
 
 (* the normalized plan of [sql]: the seed the search starts from *)
 let search_seed cat env sql =
