@@ -1,11 +1,18 @@
 (** Columnar batches: full physical columns plus a selection vector of
     live physical row indices.  Filters compact only the selection
     vector; column arrays are shared (table scans alias the storage
-    layer's columnar cache).  Columns are lazy — materializing
+    layer's typed columnar cache).  Columns are lazy — materializing
     operators describe their output columns and pay for one only when
-    a consumer reads it, which prunes never-touched columns. *)
+    a consumer reads it, which prunes never-touched columns.
 
-type col = Relalg.Value.t array Lazy.t
+    Column contract: a column is a {!Storage.Column.t} — an unboxed
+    [int]/[float]/[string]/date/[bool] array with a NULL bitmap, or
+    the kind-tagged boxed fallback when its values mix kinds.  Every
+    column of a batch is at least as long as the largest physical
+    index in [sel].  {!Relalg.Value.t} appears only at the result
+    boundary ({!row}, {!to_rows}) and inside boxed columns. *)
+
+type col = Storage.Column.t Lazy.t
 
 type t = {
   schema : Relalg.Col.t list;
@@ -26,13 +33,8 @@ val row : t -> int -> Relalg.Value.t array
 val row_list : t -> int -> Relalg.Value.t list
 val to_rows : t -> Relalg.Value.t array list
 
-(** Column [c] gathered into a dense slot-indexed array. *)
-val gather : t -> int -> Relalg.Value.t array
-
-(** Row-major scatter: lazy columns over an array of source rows;
-    [None] entries expand to all-NULL rows (outer-Apply padding). *)
-val scatter :
-  Relalg.Col.t list -> Relalg.Value.t array option array -> t
+(** Column [c] gathered into a dense slot-indexed column. *)
+val gather : t -> int -> Storage.Column.t
 
 (** Dense sub-batch of the given slot indices. *)
 val take : t -> int array -> t

@@ -426,7 +426,7 @@ let test_append_capacity_and_views () =
   Alcotest.(check bool) "last logical row is real" true
     (rows.(live - 1).(1) = Value.Int (n - 1));
   let cols = Table.columns tb in
-  Alcotest.(check int) "column height" n (Array.length cols.(0));
+  Alcotest.(check int) "column height" n (Storage.Column.length cols.(0));
   Alcotest.(check int) "ndv sees only live rows" 37 (Table.distinct_count tb "x")
 
 (* snapshot → reload → derived state: columnar cache, NDV and the
@@ -449,12 +449,15 @@ let test_derived_state_coherent_after_recovery () =
       Alcotest.(check int) "ndv recomputed identically" ndv_before
         (Table.distinct_count tb2 "dept");
       let cols_after = Table.columns tb2 in
+      let rendered col =
+        List.init (Storage.Column.length col) (fun i ->
+            Value.to_string (Storage.Column.get col i))
+      in
       Array.iteri
         (fun c col ->
           Alcotest.(check (list string))
             (Printf.sprintf "column %d identical" c)
-            (List.map Value.to_string (Array.to_list col))
-            (List.map Value.to_string (Array.to_list cols_after.(c))))
+            (rendered col) (rendered cols_after.(c)))
         cols_before;
       (* the restored generation keeps the WAL's continuity check happy *)
       Durable.append st2 "emp" (emp_row 6 1);
