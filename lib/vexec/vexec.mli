@@ -8,14 +8,19 @@
     comparison) is evaluated row by row through the row interpreter's
     [eval], so its laziness and runtime errors match row mode.  Max1row
     raises the row engine's error on a second row; Rownum numbers rows
-    in emission order.  Apply and SegmentApply run as batched nested
-    iteration: the outer batch's correlation-parameter tuples are
-    deduplicated and the inner plan is evaluated once per distinct
-    binding (or rewritten at exec time into one hash-probe pass when
-    the inner is a non-indexed filtered scan), then the results are
-    scattered back under each variant's bag semantics.  Every plan
-    returns the row engine's bag — the row engine remains the semantic
-    oracle.
+    in emission order.  Columns are typed ({!Storage.Column}); a value
+    is boxed only at the result boundary and on the boxed fallback.
+    Apply and SegmentApply run as batched nested iteration: the outer
+    batch's correlation-parameter tuples are deduplicated and the inner
+    plan is evaluated once per distinct binding.  A filtered-scan inner
+    ([Project] [ScalarAgg] Select(p, Scan t) with an equality probe)
+    runs on typed columns — candidate rows from the probe column's
+    index, or one hash-probe pass over the table, then the residual,
+    aggregates and projections as column kernels — and any other inner
+    through the row engine's parameterized entry point; the inner rows
+    are paired back with the outer rows under each variant's bag
+    semantics.  Every plan returns the row engine's bag — the row
+    engine remains the semantic oracle.
 
     Budget accounting and fault injection tick per batch per operator;
     metrics record batches produced alongside the row-mode counters, so
