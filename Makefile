@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke perf-smoke soak-smoke soak prove-rules lint-smoke plan-census plan-census-check clean
+.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke perf-smoke soak-smoke soak prove-rules lint-smoke plan-census plan-census-check loc clean
 
 all:
 	dune build
@@ -23,6 +23,11 @@ lint-smoke:
 
 test:
 	dune runtest
+
+# lines of OCaml (.ml and .mli) in lib/ and bench/: the figure CHANGES
+# and ROADMAP quote for the code's size
+loc:
+	@find lib bench \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 # plan census: one line per Qgen statement (seeds 1-5 x 200 cases, SF
 # 0.01, plan cache off) with the chosen plan's cost, explored count and

@@ -339,7 +339,7 @@ let explain_cmd =
   let analyze_arg =
     let doc =
       "Execute the chosen plan and annotate every operator with invocations, rows \
-       in/out, wall time, Apply fast-path hits and hash-build sizes; includes the \
+       in/out, wall time, index probes and hash-build sizes; includes the \
        optimizer's rule-firing trace."
     in
     Arg.(value & flag & info [ "analyze" ] ~doc)

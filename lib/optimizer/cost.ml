@@ -25,24 +25,15 @@ let has_equi pred (lcols : Col.Set.t) (rcols : Col.Set.t) =
       | _ -> false)
     (conjuncts pred)
 
-(* index fast path detection, mirroring Exec's [index_probe_path]: the
-   indexed column may stand on either side of the equality *)
+(* The index-lookup Apply: the inner, under any projections, is a
+   filtered base-table scan with a declared index on an equality column
+   ({!Op.index_eq}); its (table, column) *)
 let rec apply_index_path (cat : Catalog.t) (right : op) : (string * string) option =
   match right with
   | Project (_, i) -> apply_index_path cat i
   | Select (p, TableScan { table; cols }) ->
-      let scan_cols = Col.Set.of_list cols in
-      let ok (rc : Col.t) e =
-        Col.Set.mem rc scan_cols
-        && Col.Set.is_empty (Col.Set.inter (Expr.cols e) scan_cols)
-        && Catalog.has_index cat table rc.name
-      in
-      List.find_map
-        (function
-          | Cmp (Eq, ColRef rc, e) when ok rc e -> Some (table, rc.name)
-          | Cmp (Eq, e, ColRef rc) when ok rc e -> Some (table, rc.name)
-          | _ -> None)
-        (conjuncts p)
+      let indexed (c : Col.t) = if Catalog.has_index cat table c.name then Some c.name else None in
+      Option.map (fun (col, _, _) -> (table, col)) (Op.index_eq ~cols ~indexed p)
   | _ -> None
 
 (* The cost of one node from its estimated output rows [out] and its

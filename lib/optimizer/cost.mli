@@ -19,11 +19,6 @@ val probe_cost : float
     between the two column sets? *)
 val has_equi : expr -> Col.Set.t -> Col.Set.t -> bool
 
-(** Index fast path for Apply, mirroring the executor's probe
-    detection: a (possibly projected) filtered base-table scan with a
-    declared index on an equality column.  Returns (table, column). *)
-val apply_index_path : Catalog.t -> op -> (string * string) option
-
 (** The root's (rows, properties, cost) triple, computed in the same
     bottom-up walk ({!Card.fold}) as the cardinalities the cost uses. *)
 val fold : Card.env -> Catalog.t -> op -> float * Fd.t * float

@@ -42,18 +42,9 @@ let index_apply ~(cat : Catalog.t) kind pred left right : op option =
   | None -> None
   | Some (table, cols) ->
       let lcols = Op.schema_set left in
-      let scan_cols = Col.Set.of_list cols in
-      let probe rc e =
-        Col.Set.mem rc scan_cols
-        && Col.Set.subset (Expr.cols e) lcols
-        && Catalog.has_index cat table rc.Col.name
-      in
-      let indexed_eq = function
-        | Cmp (Eq, ColRef a, ColRef b) -> probe a (ColRef b) || probe b (ColRef a)
-        | Cmp (Eq, ColRef rc, e) | Cmp (Eq, e, ColRef rc) -> probe rc e
-        | _ -> false
-      in
-      if List.exists indexed_eq (conjuncts pred) then
+      let indexed (c : Col.t) = if Catalog.has_index cat table c.Col.name then Some () else None in
+      let key_ok e = Col.Set.subset (Expr.cols e) lcols in
+      if Option.is_some (Op.index_eq ~cols ~indexed ~key_ok pred) then
         let right' =
           match right with Select (p, i) -> Select (conj pred p, i) | i -> Select (pred, i)
         in

@@ -671,6 +671,15 @@ let fill m ~with_apply ~walk ~(admit : group option -> op -> bool) (e : gexpr) :
     end
     else begin
       m.graphs <- m.graphs + 1;
+      (* [a] joined to the single vertex set [sb] by index lookup under
+         [pred], if it can be: [k] of the Apply and its filtered inner *)
+      let index_probe pred sb a b k =
+        if with_apply && single sb then
+          match Join_order.index_apply ~cat:m.cat Inner pred a.first b.first with
+          | Some (Apply { right = Select _ as right; _ } as o) -> [ k o right ]
+          | _ -> []
+        else []
+      in
       (* sides (group, vertices entering unfiltered) l and r joined into
          the set group, both ways round and by index probe *)
       let join s (a, ua) (b, ub) l r =
@@ -678,13 +687,9 @@ let fill m ~with_apply ~walk ~(admit : group option -> op -> bool) (e : gexpr) :
         let target = ref (set_group ~unfiltered s) in
         let p_lr = Join_order.pred_between g l r and p_rl = Join_order.pred_between g r l in
         let probe pred sb a b =
-          if with_apply && single sb then
-            match Join_order.index_apply ~cat:m.cat Inner pred a.first b.first with
-            | Some (Apply { right = Select _ as right; _ } as o) ->
-                let gr, right = insert m ~enum:true right in
-                [ (Op.with_children o [ a.first; right ], [ a; gr ]) ]
-            | _ -> []
-          else []
+          index_probe pred sb a b (fun o right ->
+              let gr, right = insert m ~enum:true right in
+              (Op.with_children o [ a.first; right ], [ a; gr ]))
         in
         let cands =
           [ (Join { kind = Inner; pred = p_lr; left = a.first; right = b.first }, [ a; b ]);
@@ -762,13 +767,8 @@ let fill m ~with_apply ~walk ~(admit : group option -> op -> bool) (e : gexpr) :
                         (j, Cost.step m.env m.cat j [ tri a; tri b ])
                       in
                       let probe pred sb a b =
-                        if with_apply && single sb then
-                          match Join_order.index_apply ~cat:m.cat Inner pred a.first b.first with
-                          | Some (Apply { right = Select _ as right; _ } as o) ->
-                              let rt = Cost.step m.env m.cat right [ tri b ] in
-                              [ (o, Cost.step m.env m.cat o [ tri a; rt ]) ]
-                          | _ -> []
-                        else []
+                        index_probe pred sb a b (fun o right ->
+                            (o, Cost.step m.env m.cat o [ tri a; Cost.step m.env m.cat right [ tri b ] ]))
                       in
                       List.for_all over
                         ((plain :: probe (Join_order.pred_between g l r) r a b)
