@@ -180,6 +180,17 @@ let test_index_probe_path () =
   let applied = Normalize.Apply_intro.transform env b.op in
   Support.check_same_bag "probe = naive" (Support.run_op dbv b.op) (Support.run_op dbv applied)
 
+let test_subquery_key_not_probed () =
+  (* eid is indexed, but the key is a subquery correlated to the scan
+     itself: it has no value without the scan row, so the filter runs
+     row by row at every stage *)
+  let st =
+    Support.check_stages_equivalent (Lazy.force db)
+      "select eid from emp where eid = (select max(e2.eid) from emp e2 where e2.dept = emp.dept)"
+  in
+  Alcotest.(check (list string)) "each department's largest eid" [ "2"; "3"; "4" ]
+    (strings (run st.Normalize.bound))
+
 let test_rownum () =
   let c = Col.fresh "x" Value.TInt in
   let t = ConstTable { cols = [ c ]; rows = [ [| Value.Int 7 |]; [| Value.Int 9 |] ] } in
@@ -207,6 +218,7 @@ let suite =
     Alcotest.test_case "correlated apply" `Quick test_apply_correlated;
     Alcotest.test_case "segment apply" `Quick test_segment_apply_exec;
     Alcotest.test_case "index probe path" `Quick test_index_probe_path;
+    Alcotest.test_case "subquery key not probed" `Quick test_subquery_key_not_probed;
     Alcotest.test_case "rownum" `Quick test_rownum;
     Alcotest.test_case "like" `Quick test_like
   ]

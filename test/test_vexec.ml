@@ -402,6 +402,33 @@ let test_guarded_case_subquery () =
     "select c_custkey, case when c_custkey < 0 then (select o_totalprice from orders where \
      o_custkey = c_custkey) else 0 end from customer where c_custkey <= 30"
 
+let test_subquery_residual_not_probed () =
+  (* [eid = 1] alone would select one candidate, but the CASE subquery
+     returns two rows on eid 2 (two employees in department 1): the
+     filter runs row by row, so both engines raise, on the bound tree
+     and under every config *)
+  let db = Support.toy_db () in
+  let sql =
+    "select eid from emp where case when salary > 150 then (select e2.eid from emp e2 where \
+     e2.dept = emp.dept) else 0 end >= 0 and eid = 1"
+  in
+  let outcome f =
+    match f () with
+    | rows -> Ok (Engine.bag rows)
+    | exception Exec.Executor.Runtime_error m -> Error m
+  in
+  let check label row vec =
+    Alcotest.(check bool) (label ^ ": raises") true (Result.is_error row);
+    Alcotest.(check (result (list string) string)) (label ^ ": row = vector") row vec
+  in
+  let bound = (Sqlfront.Binder.bind_sql db.Storage.Database.catalog sql).op in
+  check "bound tree" (outcome (fun () -> Support.run_op db bound)) (outcome (fun () -> vec db bound));
+  List.iter
+    (fun (cname, config) ->
+      let run mode () = (Engine.query ~config ~mode (Engine.create db) sql).Exec.Executor.rows in
+      check cname (outcome (run `Row)) (outcome (run `Vector)))
+    configs
+
 let test_rownum_across_batches () =
   let db = Support.toy_db () in
   let x = Col.fresh "x" Value.TInt in
@@ -916,6 +943,7 @@ let suite =
     Alcotest.test_case "max1row under a join" `Quick test_max1row_under_join;
     Alcotest.test_case "max1row violation" `Quick test_max1row_violation;
     Alcotest.test_case "guarded CASE subquery" `Quick test_guarded_case_subquery;
+    Alcotest.test_case "subquery residual not probed" `Quick test_subquery_residual_not_probed;
     Alcotest.test_case "rownum across batches" `Quick test_rownum_across_batches;
     Alcotest.test_case "typed: NULLs in every kind" `Quick test_typed_nulls_every_kind;
     Alcotest.test_case "typed: Int and Float mixed" `Quick test_typed_mixed_int_float;
