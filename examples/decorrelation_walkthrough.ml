@@ -51,7 +51,7 @@ let () =
   (* verify all stages agree *)
   let run op =
     let ctx = Exec.Executor.make_ctx db in
-    Exec.Executor.run ctx Exec.Executor.empty_lookup op
+    Exec.Executor.run ctx op
     |> List.map (fun r -> Array.map Relalg.Value.to_string r)
     |> List.sort compare
   in

@@ -504,7 +504,7 @@ let interpret (cat : Catalog.t) (db : (string * Value.t array list) list) (o : o
     List.iter (fun (name, rows) -> Storage.Table.load (Storage.Database.table store name) rows) db;
     Storage.Database.build_declared_indexes store;
     let ctx = Exec.Executor.make_ctx store in
-    let rows = Exec.Executor.run ctx Exec.Executor.empty_lookup o in
+    let rows = Exec.Executor.run ctx o in
     List.sort compare (List.map render_row rows)
   with e -> [ "<executor error: " ^ Printexc.to_string e ^ ">" ]
 

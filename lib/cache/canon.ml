@@ -44,35 +44,28 @@ let arith_name (o : Relalg.Algebra.arithop) =
 let cmp_name (o : Relalg.Algebra.cmpop) =
   match o with Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 
-(* The clause traversal order — FROM (with ON conditions and derived
-   queries inline), SELECT, WHERE, GROUP BY, HAVING, UNION ALL blocks,
-   ORDER BY, LIMIT — is shared verbatim by [analyze] and
-   [with_literals]: slot i in one is slot i in the other. *)
+exception Arity of int * int
+(** [with_literals] received a vector whose length differs from the
+    query's slot count — a caller bug, not a user error. *)
 
-let analyze (q : Ast.query) : analysis =
-  let buf = Buffer.create 256 in
+let expr_of_lit = function
+  | LInt n -> Ast.EInt n
+  | LFloat f -> Ast.EFloat f
+  | LStr s -> Ast.EStr s
+  | LDate s -> Ast.EDate s
+
+(* The one traversal behind [analyze] and [with_literals], in clause
+   order — FROM (with ON conditions and derived queries inline),
+   SELECT, WHERE, GROUP BY, HAVING, UNION ALL blocks, ORDER BY, LIMIT:
+   it serializes [q] into [buf] and rebuilds it, each literal replaced
+   by [lit ~lift l] ([lift]: whether its position lifts), so slot i of
+   the key is slot i of the literal vector. *)
+let walk (buf : Buffer.t) (lit : lift:bool -> lit -> Ast.expr) (q : Ast.query) : Ast.query =
   let add = Buffer.add_string buf in
-  let literals = ref [] in
-  let opaque = ref [] in
-  let nslot = ref 0 in
   let nalias = ref 0 in
   let fresh_alias () =
     incr nalias;
     Printf.sprintf "a%d" !nalias
-  in
-  let lift l =
-    add (Printf.sprintf "?%d%s" !nslot (lit_tag l));
-    incr nslot;
-    literals := l :: !literals
-  in
-  let keep l =
-    opaque := l :: !opaque;
-    add
-      (match l with
-      | LInt n -> string_of_int n
-      | LFloat f -> Printf.sprintf "%h" f
-      | LStr s -> Printf.sprintf "%S" s
-      | LDate s -> Printf.sprintf "date%S" s)
   in
   (* [env]: alias scopes, innermost first.  An unresolvable qualifier
      serializes raw (prefixed to stay distinct from canonical names):
@@ -85,280 +78,243 @@ let analyze (q : Ast.query) : analysis =
     in
     go env
   in
-  let rec expr env ~lift:l (e : Ast.expr) =
+  let rec expr env ~lift:l (e : Ast.expr) : Ast.expr =
     let sub = expr env ~lift:l in
-    match e with
-    | Ast.EInt n -> if l then lift (LInt n) else keep (LInt n)
-    | Ast.EFloat f -> if l then lift (LFloat f) else keep (LFloat f)
-    | Ast.EStr s -> if l then lift (LStr s) else keep (LStr s)
-    | Ast.EDate s -> if l then lift (LDate s) else keep (LDate s)
-    | Ast.EBool b -> add (if b then "true" else "false")
-    | Ast.ENull -> add "null"
-    | Ast.ECol (None, n) -> add ("col:" ^ n)
-    | Ast.ECol (Some q, n) -> add (Printf.sprintf "col:%s.%s" (resolve env q) n)
-    | Ast.EArith (o, a, b) ->
-        add ("(" ^ arith_name o ^ " ");
-        sub a;
-        add " ";
-        sub b;
-        add ")"
-    | Ast.ENeg a ->
-        add "(neg ";
-        sub a;
-        add ")"
-    | Ast.ECmp (o, a, b) ->
-        add ("(" ^ cmp_name o ^ " ");
-        sub a;
-        add " ";
-        sub b;
-        add ")"
-    | Ast.EAnd (a, b) ->
-        add "(and ";
-        sub a;
-        add " ";
-        sub b;
-        add ")"
-    | Ast.EOr (a, b) ->
-        add "(or ";
-        sub a;
-        add " ";
-        sub b;
-        add ")"
-    | Ast.ENot a ->
-        add "(not ";
-        sub a;
-        add ")"
-    | Ast.EIsNull (neg, a) ->
-        add (if neg then "(isnotnull " else "(isnull ");
-        sub a;
-        add ")"
-    | Ast.EBetween (neg, a, lo, hi) ->
-        add (if neg then "(notbetween " else "(between ");
-        sub a;
-        add " ";
-        sub lo;
-        add " ";
-        sub hi;
-        add ")"
-    | Ast.ELike (neg, a, pat) ->
-        add (if neg then "(notlike " else "(like ");
-        sub a;
-        add (Printf.sprintf " %S)" pat)
-    | Ast.EInList (neg, a, es) ->
-        add (if neg then "(notin " else "(in ");
-        sub a;
-        List.iter
+    (* "(label a b ...)", operands rebuilt left to right *)
+    let app label es =
+      add ("(" ^ label);
+      let es =
+        List.map
           (fun e ->
             add " ";
             sub e)
-          es;
-        add ")"
-    | Ast.EInSub (neg, a, q) ->
-        add (if neg then "(notinsub " else "(insub ");
-        sub a;
-        add " ";
-        query env q;
-        add ")"
-    | Ast.EExists q ->
-        add "(exists ";
-        query env q;
-        add ")"
-    | Ast.EScalarSub q ->
-        add "(scalar ";
-        query env q;
-        add ")"
-    | Ast.EQuant (o, qu, a, q) ->
-        add
-          (Printf.sprintf "(%s%s " (cmp_name o)
-             (match qu with Relalg.Algebra.Any -> "any" | Relalg.Algebra.All -> "all"));
-        sub a;
-        add " ";
-        query env q;
-        add ")"
+          es
+      in
+      add ")";
+      es
+    in
+    let subquery label a q =
+      add ("(" ^ label ^ " ");
+      let a =
+        Option.map
+          (fun a ->
+            let a = sub a in
+            add " ";
+            a)
+          a
+      in
+      let q = query env q in
+      add ")";
+      (a, q)
+    in
+    match e with
+    | Ast.EInt n -> lit ~lift:l (LInt n)
+    | Ast.EFloat f -> lit ~lift:l (LFloat f)
+    | Ast.EStr s -> lit ~lift:l (LStr s)
+    | Ast.EDate s -> lit ~lift:l (LDate s)
+    | Ast.EBool b ->
+        add (if b then "true" else "false");
+        e
+    | Ast.ENull ->
+        add "null";
+        e
+    | Ast.ECol (None, n) ->
+        add ("col:" ^ n);
+        e
+    | Ast.ECol (Some q, n) ->
+        add (Printf.sprintf "col:%s.%s" (resolve env q) n);
+        e
+    | Ast.EArith (o, a, b) -> (
+        match app (arith_name o) [ a; b ] with [ a; b ] -> Ast.EArith (o, a, b) | _ -> e)
+    | Ast.ENeg a -> ( match app "neg" [ a ] with [ a ] -> Ast.ENeg a | _ -> e)
+    | Ast.ECmp (o, a, b) -> (
+        match app (cmp_name o) [ a; b ] with [ a; b ] -> Ast.ECmp (o, a, b) | _ -> e)
+    | Ast.EAnd (a, b) -> ( match app "and" [ a; b ] with [ a; b ] -> Ast.EAnd (a, b) | _ -> e)
+    | Ast.EOr (a, b) -> ( match app "or" [ a; b ] with [ a; b ] -> Ast.EOr (a, b) | _ -> e)
+    | Ast.ENot a -> ( match app "not" [ a ] with [ a ] -> Ast.ENot a | _ -> e)
+    | Ast.EIsNull (neg, a) -> (
+        match app (if neg then "isnotnull" else "isnull") [ a ] with
+        | [ a ] -> Ast.EIsNull (neg, a)
+        | _ -> e)
+    | Ast.EBetween (neg, a, lo, hi) -> (
+        match app (if neg then "notbetween" else "between") [ a; lo; hi ] with
+        | [ a; lo; hi ] -> Ast.EBetween (neg, a, lo, hi)
+        | _ -> e)
+    | Ast.ELike (neg, a, pat) ->
+        add (if neg then "(notlike " else "(like ");
+        let a = sub a in
+        add (Printf.sprintf " %S)" pat);
+        Ast.ELike (neg, a, pat)
+    | Ast.EInList (neg, a, es) -> (
+        match app (if neg then "notin" else "in") (a :: es) with
+        | a :: es -> Ast.EInList (neg, a, es)
+        | [] -> e)
+    | Ast.EInSub (neg, a, q) -> (
+        match subquery (if neg then "notinsub" else "insub") (Some a) q with
+        | Some a, q -> Ast.EInSub (neg, a, q)
+        | None, _ -> e)
+    | Ast.EExists q -> Ast.EExists (snd (subquery "exists" None q))
+    | Ast.EScalarSub q -> Ast.EScalarSub (snd (subquery "scalar" None q))
+    | Ast.EQuant (o, qu, a, q) -> (
+        let label =
+          cmp_name o ^ match qu with Relalg.Algebra.Any -> "any" | Relalg.Algebra.All -> "all"
+        in
+        match subquery label (Some a) q with
+        | Some a, q -> Ast.EQuant (o, qu, a, q)
+        | None, _ -> e)
     | Ast.ECase (branches, els) ->
         add "(case";
-        List.iter
-          (fun (c, v) ->
-            add " [";
-            sub c;
-            add " ";
-            sub v;
-            add "]")
-          branches;
-        (match els with
-        | Some e ->
-            add " else ";
-            sub e
-        | None -> ());
-        add ")"
+        let branches =
+          List.map
+            (fun (c, v) ->
+              add " [";
+              let c = sub c in
+              add " ";
+              let v = sub v in
+              add "]";
+              (c, v))
+            branches
+        in
+        let els =
+          Option.map
+            (fun e ->
+              add " else ";
+              sub e)
+            els
+        in
+        add ")";
+        Ast.ECase (branches, els)
     | Ast.EAgg (name, distinct, arg) ->
         add (Printf.sprintf "(agg:%s%s" name (if distinct then ":d" else ""));
-        (match arg with
-        | Some a ->
-            add " ";
-            sub a
-        | None -> add " *");
-        add ")"
+        let arg =
+          match arg with
+          | Some a ->
+              add " ";
+              Some (sub a)
+          | None ->
+              add " *";
+              None
+        in
+        add ")";
+        Ast.EAgg (name, distinct, arg)
   (* Serializes the item, extends the block scope.  ON conditions see
      the aliases accumulated so far plus the outer environment, exactly
      like SQL name resolution. *)
-  and table_ref env scope tr =
+  and table_ref env (scope, trs) tr =
     match tr with
     | Ast.TTable (t, alias) ->
         let canon = fresh_alias () in
         add (Printf.sprintf "(t:%s=%s)" t canon);
-        (Option.value alias ~default:t, canon) :: scope
+        ((Option.value alias ~default:t, canon) :: scope, tr :: trs)
     | Ast.TDerived (q, alias) ->
         let canon = fresh_alias () in
         add "(d:";
-        query env q;
+        let q = query env q in
         add ("=" ^ canon ^ ")");
-        (alias, canon) :: scope
-    | Ast.TJoin (l, jt, r, on) ->
+        ((alias, canon) :: scope, Ast.TDerived (q, alias) :: trs)
+    | Ast.TJoin (l, jt, r, on) -> (
         add (match jt with Ast.JInner -> "(join " | Ast.JLeft -> "(leftjoin ");
-        let scope = table_ref env scope l in
-        let scope = table_ref env scope r in
-        add " on ";
-        expr (scope :: env) ~lift:true on;
-        add ")";
-        scope
-  and query env (q : Ast.query) =
+        match table_ref env (table_ref env (scope, []) l) r with
+        | scope, [ r; l ] ->
+            add " on ";
+            let on = expr (scope :: env) ~lift:true on in
+            add ")";
+            (scope, Ast.TJoin (l, jt, r, on) :: trs)
+        | scope, _ -> (scope, tr :: trs))
+  and query env (q : Ast.query) : Ast.query =
     add "{from:";
-    let scope = List.fold_left (fun sc tr -> table_ref env sc tr) [] q.from in
+    let scope, from = List.fold_left (table_ref env) ([], []) q.from in
     let env' = scope :: env in
     add ";select:";
     if q.distinct then add "distinct ";
-    List.iter
-      (function
-        | Ast.SStar -> add "*;"
-        | Ast.SExpr (e, alias) ->
-            expr env' ~lift:true e;
-            (match alias with Some a -> add (Printf.sprintf "=%S" a) | None -> ());
-            add ";")
-      q.select;
-    (match q.where with
-    | Some e ->
-        add ";where:";
-        expr env' ~lift:true e
-    | None -> ());
-    if q.group_by <> [] then begin
-      add ";group:";
-      List.iter
+    let select =
+      List.map
+        (function
+          | Ast.SStar ->
+              add "*;";
+              Ast.SStar
+          | Ast.SExpr (e, alias) ->
+              let e = expr env' ~lift:true e in
+              (match alias with Some a -> add (Printf.sprintf "=%S" a) | None -> ());
+              add ";";
+              Ast.SExpr (e, alias))
+        q.select
+    in
+    let clause label e =
+      Option.map
         (fun e ->
-          expr env' ~lift:false e;
-          add ";")
+          add label;
+          expr env' ~lift:true e)
+        e
+    in
+    let where = clause ";where:" q.where in
+    if q.group_by <> [] then add ";group:";
+    let group_by =
+      List.map
+        (fun e ->
+          let e = expr env' ~lift:false e in
+          add ";";
+          e)
         q.group_by
-    end;
-    (match q.having with
-    | Some e ->
-        add ";having:";
-        expr env' ~lift:true e
-    | None -> ());
-    List.iter
-      (fun uq ->
-        add ";union:";
-        query env uq)
-      q.union_all;
-    if q.order_by <> [] then begin
-      add ";order:";
-      List.iter
+    in
+    let having = clause ";having:" q.having in
+    let union_all =
+      List.map
+        (fun uq ->
+          add ";union:";
+          query env uq)
+        q.union_all
+    in
+    if q.order_by <> [] then add ";order:";
+    let order_by =
+      List.map
         (fun (e, desc) ->
-          expr env' ~lift:false e;
-          add (if desc then " desc;" else " asc;"))
+          let e = expr env' ~lift:false e in
+          add (if desc then " desc;" else " asc;");
+          (e, desc))
         q.order_by
-    end;
+    in
     (match q.limit with Some n -> add (Printf.sprintf ";limit:%d" n) | None -> ());
-    add "}"
+    add "}";
+    { q with from = List.rev from; select; where; group_by; having; union_all; order_by }
   in
-  query [] q;
-  { key = Buffer.contents buf; literals = List.rev !literals; opaque = List.rev !opaque }
+  query [] q
 
-exception Arity of int * int
-(** [with_literals] received a vector whose length differs from the
-    query's slot count — a caller bug, not a user error. *)
+let analyze (q : Ast.query) : analysis =
+  let buf = Buffer.create 256 in
+  let literals = ref [] and opaque = ref [] and nslot = ref 0 in
+  let lit ~lift l =
+    if lift then begin
+      Buffer.add_string buf (Printf.sprintf "?%d%s" !nslot (lit_tag l));
+      incr nslot;
+      literals := l :: !literals
+    end
+    else begin
+      opaque := l :: !opaque;
+      Buffer.add_string buf
+        (match l with
+        | LInt n -> string_of_int n
+        | LFloat f -> Printf.sprintf "%h" f
+        | LStr s -> Printf.sprintf "%S" s
+        | LDate s -> Printf.sprintf "date%S" s)
+    end;
+    expr_of_lit l
+  in
+  ignore (walk buf lit q);
+  { key = Buffer.contents buf; literals = List.rev !literals; opaque = List.rev !opaque }
 
 let with_literals (q : Ast.query) (ls : lit list) : Ast.query =
   let arr = Array.of_list ls in
   let i = ref 0 in
-  let next () =
-    if !i >= Array.length arr then raise (Arity (Array.length arr, !i + 1));
-    let l = arr.(!i) in
-    incr i;
-    match l with
-    | LInt n -> Ast.EInt n
-    | LFloat f -> Ast.EFloat f
-    | LStr s -> Ast.EStr s
-    | LDate s -> Ast.EDate s
+  let lit ~lift l =
+    if not lift then expr_of_lit l
+    else begin
+      if !i >= Array.length arr then raise (Arity (Array.length arr, !i + 1));
+      incr i;
+      expr_of_lit arr.(!i - 1)
+    end
   in
-  let rec expr ~lift (e : Ast.expr) : Ast.expr =
-    let sub = expr ~lift in
-    match e with
-    | Ast.EInt _ | Ast.EFloat _ | Ast.EStr _ | Ast.EDate _ -> if lift then next () else e
-    | Ast.EBool _ | Ast.ENull | Ast.ECol _ -> e
-    | Ast.EArith (o, a, b) ->
-        let a = sub a in
-        Ast.EArith (o, a, sub b)
-    | Ast.ENeg a -> Ast.ENeg (sub a)
-    | Ast.ECmp (o, a, b) ->
-        let a = sub a in
-        Ast.ECmp (o, a, sub b)
-    | Ast.EAnd (a, b) ->
-        let a = sub a in
-        Ast.EAnd (a, sub b)
-    | Ast.EOr (a, b) ->
-        let a = sub a in
-        Ast.EOr (a, sub b)
-    | Ast.ENot a -> Ast.ENot (sub a)
-    | Ast.EIsNull (neg, a) -> Ast.EIsNull (neg, sub a)
-    | Ast.EBetween (neg, a, lo, hi) ->
-        let a = sub a in
-        let lo = sub lo in
-        Ast.EBetween (neg, a, lo, sub hi)
-    | Ast.ELike (neg, a, pat) -> Ast.ELike (neg, sub a, pat)
-    | Ast.EInList (neg, a, es) ->
-        let a = sub a in
-        Ast.EInList (neg, a, List.map sub es)
-    | Ast.EInSub (neg, a, q) ->
-        let a = sub a in
-        Ast.EInSub (neg, a, query q)
-    | Ast.EExists q -> Ast.EExists (query q)
-    | Ast.EScalarSub q -> Ast.EScalarSub (query q)
-    | Ast.EQuant (o, qu, a, q) ->
-        let a = sub a in
-        Ast.EQuant (o, qu, a, query q)
-    | Ast.ECase (branches, els) ->
-        let branches =
-          List.map
-            (fun (c, v) ->
-              let c = sub c in
-              (c, sub v))
-            branches
-        in
-        Ast.ECase (branches, Option.map sub els)
-    | Ast.EAgg (name, distinct, arg) -> Ast.EAgg (name, distinct, Option.map sub arg)
-  and table_ref tr =
-    match tr with
-    | Ast.TTable _ -> tr
-    | Ast.TDerived (q, alias) -> Ast.TDerived (query q, alias)
-    | Ast.TJoin (l, jt, r, on) ->
-        let l = table_ref l in
-        let r = table_ref r in
-        Ast.TJoin (l, jt, r, expr ~lift:true on)
-  and query (q : Ast.query) : Ast.query =
-    let from = List.map table_ref q.from in
-    let select =
-      List.map
-        (function
-          | Ast.SStar -> Ast.SStar
-          | Ast.SExpr (e, alias) -> Ast.SExpr (expr ~lift:true e, alias))
-        q.select
-    in
-    let where = Option.map (expr ~lift:true) q.where in
-    let having = Option.map (expr ~lift:true) q.having in
-    let union_all = List.map query q.union_all in
-    { q with from; select; where; having; union_all }
-  in
-  let q' = query q in
+  let q' = walk (Buffer.create 256) lit q in
   if !i <> Array.length arr then raise (Arity (Array.length arr, !i));
   q'
 

@@ -394,14 +394,14 @@ let execute ?budget ?faults ?(collect_metrics = false) ?(property_check = false)
   (match t.caches with
   | Some c ->
       let exec plan =
-        Exec.Executor.run (Exec.Executor.make_ctx t.db) Exec.Executor.empty_lookup plan
+        Exec.Executor.run (Exec.Executor.make_ctx t.db) plan
       in
       ctx.cse <- Some (fun id -> Cache.Cse.fetch c.cse ~exec ~current_gen:(current_gen t) id)
   | None -> ());
   let t0 = Unix.gettimeofday () in
   let rows =
     match mode with
-    | `Row -> Exec.Executor.run ctx Exec.Executor.empty_lookup p.plan
+    | `Row -> Exec.Executor.run ctx p.plan
     | `Vector -> Vexec.run ctx p.plan
   in
   let schema = Op.schema p.plan in
@@ -584,7 +584,7 @@ let plan_batch_cse (c : caches) (t : t) (preps : prepared list) :
     (* pre-materialize every planted entry so statement execution only
        scans *)
     let exec plan =
-      Exec.Executor.run (Exec.Executor.make_ctx t.db) Exec.Executor.empty_lookup plan
+      Exec.Executor.run (Exec.Executor.make_ctx t.db) plan
     in
     Hashtbl.iter
       (fun _ (id, _) ->
@@ -699,6 +699,7 @@ type check_report = {
   reference : string;  (** config name of the oracle *)
   agree : bool;
   candidate_rows : int;
+  candidate_exec_s : float;
   reference_rows : int;
   only_candidate : string list;  (** sample rows missing from the reference (≤ 5) *)
   only_reference : string list;  (** sample rows missing from the candidate (≤ 5) *)
@@ -749,7 +750,8 @@ let check ?(candidate = Optimizer.Config.full)
     ?(reference = Optimizer.Config.correlated_only) ?budget ?float_digits
     ?property_check ?(mode = `Row) (t : t) (sql : string) : check_report =
   let pc = prepare ~config:candidate t sql in
-  let c = (execute ?budget ?property_check ~mode t pc).result in
+  let ce = execute ?budget ?property_check ~mode t pc in
+  let c = ce.result in
   let r = (execute ?budget t (prepare ~config:reference t sql)).result in
   let cb = bag ?float_digits c.rows in
   let rb = bag ?float_digits r.rows in
@@ -760,6 +762,7 @@ let check ?(candidate = Optimizer.Config.full)
     reference = Optimizer.Config.name_of reference;
     agree = cb = rb;
     candidate_rows = List.length cb;
+    candidate_exec_s = ce.elapsed_s;
     reference_rows = List.length rb;
     only_candidate = take 5 (bag_diff cb rb);
     only_reference = take 5 (bag_diff rb cb);

@@ -305,6 +305,7 @@ type check_report = {
   reference : string;  (** config name of the oracle *)
   agree : bool;  (** bag-equality of the two result sets *)
   candidate_rows : int;
+  candidate_exec_s : float;  (** the candidate plan's execution time *)
   reference_rows : int;
   only_candidate : string list;  (** sample rows missing from the reference (≤ 5) *)
   only_reference : string list;  (** sample rows missing from the candidate (≤ 5) *)

@@ -627,13 +627,6 @@ and exec_join ctx env kind pred left right =
 
 (* --- Apply: correlated nested-loops execution ----------------------- *)
 
-(* One evaluation of an Apply inner tree under a binding of its
-   correlation parameters, accounted as one Apply iteration; the vector
-   engine's batched Apply calls it once per distinct binding. *)
-and run_inner (ctx : ctx) (env : lookup) (right : op) : row list =
-  tick_binding ctx;
-  run ctx env right
-
 and exec_apply ctx env kind pred left right =
   let lrows = run ctx env left in
   note_rows_in ctx (List.length lrows);
@@ -644,7 +637,8 @@ and exec_apply ctx env kind pred left right =
   let out = ref [] in
   List.iter
     (fun (l : row) ->
-      let rrows = run_inner ctx (row_lookup lpos l env) right in
+      tick_binding ctx;
+      let rrows = run ctx (row_lookup lpos l env) right in
       let matches =
         if is_true_const pred then rrows
         else List.filter (fun r -> eval_pred ctx (rows_lookup lpos l rpos r env) pred) rrows
@@ -708,6 +702,8 @@ and exec_segment_apply ctx env seg_cols outer inner =
     (List.rev !order);
   List.rev !out
 
+let run ctx o = run ctx empty_lookup o
+
 (* ------------------------------------------------------------------ *)
 (* Sorting and top-level result production                            *)
 (* ------------------------------------------------------------------ *)
@@ -756,7 +752,7 @@ let run_query ?budget ?faults ?metrics (db : Storage.Database.t) ~(op : op)
     ~(outputs : (string * Col.t) list) ~(order : (Col.t * bool) list)
     ~(limit : int option) : result =
   let ctx = make_ctx ?budget ?faults ?metrics db in
-  let rows = run ctx empty_lookup op in
+  let rows = run ctx op in
   let schema = Op.schema op in
   let rows = sort_rows schema order rows in
   let rows = truncate limit rows in

@@ -100,22 +100,15 @@ val split_equi_conjuncts :
     Subquery expression nodes recurse into {!run} (mutual recursion). *)
 val eval : ctx -> lookup -> expr -> Value.t
 
-(** [true] iff the predicate evaluates to TRUE (not FALSE/UNKNOWN). *)
-val eval_pred : ctx -> lookup -> expr -> bool
-
 (** Execute a tree; rows are positional per {!Op.schema}. *)
-val run : ctx -> lookup -> op -> row list
+val run : ctx -> op -> row list
 
 (** One Apply iteration's accounting (an invocation, a processed row,
-    a budget check); the vectorized engine ticks it per binding.
+    a budget check): the row engine ticks it per outer row, the
+    vectorized engine's batched Apply per distinct binding before it
+    runs the inner for all of them at once.
     @raise Budget.Exceeded when a limit trips. *)
 val tick_binding : ctx -> unit
-
-(** One evaluation of an Apply inner tree under a binding of its
-    correlation parameters (the environment), after {!tick_binding}.
-    The vectorized engine's batched Apply calls it once per distinct
-    parameter set when it does not run the inner natively. *)
-val run_inner : ctx -> lookup -> op -> row list
 
 type result = { col_names : string list; rows : row list }
 

@@ -27,6 +27,7 @@ type case_result = {
   sql : string;
   outcome : outcome;
   minimized : string option;  (** shrunken reproducer, for failures *)
+  exec_s : float;  (** the candidate's execution time (0 unless it finished) *)
 }
 
 type summary = {
@@ -34,6 +35,7 @@ type summary = {
   agreed : int;
   skipped : int;
   failures : case_result list;  (** mismatches, pipeline failures, crashes *)
+  exec_s : float;  (** the candidates' total execution time *)
 }
 
 type config = {
@@ -89,16 +91,18 @@ let bag = Engine.bag ~float_digits
 (* Differential classification.  Budget and fault trips carry no
    verdict; everything else that is not agreement is a failure — in a
    fuzzer, even a Bind error is a bug (the generator emitted SQL the
-   front end rejects). *)
+   front end rejects).  Also returns the candidate's execution time
+   (0 when it did not finish). *)
 let classify ?budget ?mode ?candidate ?property_check (eng : Engine.t) (sql : string) :
-    outcome =
-  match
+    outcome * float =
+  let res =
     try
       `R
         (Engine.Errors.protect ~sql (fun () ->
              Engine.check ?candidate ?budget ?property_check ?mode ~float_digits eng sql))
     with exn -> `Exn exn
-  with
+  in
+  ( (match res with
   | `R (Ok r) when r.Engine.agree && r.Engine.lint_errors <> [] ->
       (* the bags agree, but the linter proved the plan statically
          broken (e.g. a comparison that can never be satisfied): a
@@ -110,7 +114,8 @@ let classify ?budget ?mode ?candidate ?property_check (eng : Engine.t) (sql : st
       match e.Engine.Errors.phase with
       | Budget | Fault -> Skipped (Engine.Errors.phase_to_string e.phase)
       | _ -> Failed (Engine.Errors.to_string e))
-  | `Exn exn -> Failed ("untyped exception: " ^ Printexc.to_string exn)
+  | `Exn exn -> Failed ("untyped exception: " ^ Printexc.to_string exn)),
+    match res with `R (Ok r) -> r.Engine.candidate_exec_s | _ -> 0. )
 
 (* Resilience classification under an armed fault plan: the result must
    match the clean correlated oracle or die typed. *)
@@ -213,34 +218,35 @@ let classify_cache ?budget ~mode ~candidate ~(salt : int) (eng : Engine.t)
   | Agree -> compare_on (perturb_literals ~salt sql)
   | o -> o
 
-let classify_spec (cfg : config) (eng : Engine.t) (spec : Qgen.spec) : outcome =
+let classify_spec (cfg : config) (eng : Engine.t) (spec : Qgen.spec) : outcome * float =
   let sql = Qgen.render spec in
   match cfg.fault with
   | None when cfg.cache ->
       Engine.enable_cache eng;
-      classify_cache ?budget:cfg.budget ~mode:cfg.exec_mode ~candidate:cfg.candidate
-        ~salt:(cfg.seed + Hashtbl.hash sql) eng sql
+      ( classify_cache ?budget:cfg.budget ~mode:cfg.exec_mode ~candidate:cfg.candidate
+          ~salt:(cfg.seed + Hashtbl.hash sql) eng sql,
+        0. )
   | None ->
       classify ?budget:cfg.budget ~mode:cfg.exec_mode ~candidate:cfg.candidate
         ~property_check:cfg.property_check eng sql
-  | Some fspec -> classify_fault ?budget:cfg.budget ~fspec eng sql
+  | Some fspec -> (classify_fault ?budget:cfg.budget ~fspec eng sql, 0.)
 
 let is_failure = function Mismatch _ | Failed _ -> true | Agree | Skipped _ -> false
 
 let run_case (cfg : config) (eng : Engine.t) ~(case : int) : case_result =
   let spec = Qgen.spec_of ~seed:cfg.seed ~case in
   let sql = Qgen.render spec in
-  let outcome = classify_spec cfg eng spec in
+  let outcome, exec_s = classify_spec cfg eng spec in
   let minimized =
     if is_failure outcome && cfg.shrink then begin
-      let still_failing s = is_failure (classify_spec cfg eng s) in
+      let still_failing s = is_failure (fst (classify_spec cfg eng s)) in
       let small = Qgen.minimize still_failing spec in
       let msql = Qgen.render small in
       if msql = sql then None else Some msql
     end
     else None
   in
-  { seed = cfg.seed; case; sql; outcome; minimized }
+  { seed = cfg.seed; case; sql; outcome; minimized; exec_s }
 
 let outcome_label = function
   | Agree -> "agree"
@@ -272,10 +278,11 @@ let run ?(on_case = fun (_ : case_result) -> ()) (cfg : config) (eng : Engine.t)
     | Some c -> [ c ]
     | None -> List.init cfg.cases (fun i -> i)
   in
-  let agreed = ref 0 and skipped = ref 0 and failures = ref [] in
+  let agreed = ref 0 and skipped = ref 0 and failures = ref [] and exec_s = ref 0. in
   List.iter
     (fun case ->
       let r = run_case cfg eng ~case in
+      exec_s := !exec_s +. r.exec_s;
       (match r.outcome with
       | Agree -> incr agreed
       | Skipped _ -> incr skipped
@@ -286,6 +293,7 @@ let run ?(on_case = fun (_ : case_result) -> ()) (cfg : config) (eng : Engine.t)
     agreed = !agreed;
     skipped = !skipped;
     failures = List.rev !failures;
+    exec_s = !exec_s;
   }
 
 let format_summary (s : summary) : string =

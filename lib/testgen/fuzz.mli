@@ -27,6 +27,7 @@ type case_result = {
   sql : string;
   outcome : outcome;
   minimized : string option;  (** shrunken reproducer, for failures *)
+  exec_s : float;  (** the candidate's execution time (0 unless it finished) *)
 }
 
 type summary = {
@@ -34,6 +35,7 @@ type summary = {
   agreed : int;
   skipped : int;
   failures : case_result list;  (** mismatches, pipeline failures, crashes *)
+  exec_s : float;  (** the candidates' total execution time *)
 }
 
 type config = {
@@ -68,7 +70,8 @@ val default_config : seed:int -> cases:int -> config
     must not report that last-ulp drift as a disagreement. *)
 val float_digits : int
 
-(** Classify one SQL string under the differential contract. *)
+(** Classify one SQL string under the differential contract, with the
+    candidate's execution time (0 unless it finished). *)
 val classify :
   ?budget:Exec.Budget.t ->
   ?mode:Engine.exec_mode ->
@@ -76,7 +79,7 @@ val classify :
   ?property_check:bool ->
   Engine.t ->
   string ->
-  outcome
+  outcome * float
 
 val is_failure : outcome -> bool
 

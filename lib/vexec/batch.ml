@@ -93,7 +93,7 @@ let concat (schema : Col.t list) (bs : t list) : t =
   let arity = List.length schema in
   (* runs of consecutive inputs aliasing one column set, each with its
      joined selection vector *)
-  let runs =
+  let runs () =
     List.fold_right
       (fun b acc ->
         match acc with
@@ -102,15 +102,17 @@ let concat (schema : Col.t list) (bs : t list) : t =
       bs []
     |> List.map (fun (cols, sels) -> (cols, Array.concat sels))
   in
-  match (bs, runs) with
-  | [ b ], _ when is_iota b.sel && Array.length b.cols = arity -> { b with schema }
-  | _, [ (cols, sel) ] ->
+  match bs with
+  | [ b ] when is_iota b.sel && Array.length b.cols = arity -> { b with schema }
+  | _ -> (
+  match runs () with
+  | [ (cols, sel) ] ->
       (* physical columns may be a superset of the schema (a scan
          aliasing the table cache); trim so column index = schema
          position stays true for consumers that append column sets *)
       let cols = if Array.length cols > arity then Array.sub cols 0 arity else cols in
       { schema; cols; sel }
-  | _ ->
+  | runs ->
       let cols =
         Array.init arity (fun c ->
             lazy
@@ -120,7 +122,7 @@ let concat (schema : Col.t list) (bs : t list) : t =
                   Column.concat
                     (List.map (fun (cols, sel) -> select (Lazy.force cols.(c)) sel) runs)))
       in
-      { schema; cols; sel = iota (List.fold_left (fun n b -> n + length b) 0 bs) }
+      { schema; cols; sel = iota (List.fold_left (fun n b -> n + length b) 0 bs) })
 
 (* Split into batches of at most [size] rows, sharing the columns. *)
 let chunks ~size b : t list =

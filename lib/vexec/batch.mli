@@ -25,6 +25,9 @@ type t = {
 val length : t -> int
 
 val iota : int -> int array
+
+(** Is the selection vector [0 .. n-1]? *)
+val is_iota : int array -> bool
 val of_rows : Relalg.Col.t list -> Relalg.Value.t array list -> t
 
 (** One logical row, by slot index into the selection vector. *)

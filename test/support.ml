@@ -54,7 +54,7 @@ let toy_db () : Storage.Database.t =
 (* run a logical tree against a db, no order/limit *)
 let run_op (db : Storage.Database.t) (o : Algebra.op) : Value.t array list =
   let ctx = Exec.Executor.make_ctx db in
-  Exec.Executor.run ctx Exec.Executor.empty_lookup o
+  Exec.Executor.run ctx o
 
 (* TPC-H at SF 0.01, the scale the adhoc-cold benchmark plans at;
    shared by the tests that pin answers or plans there *)

@@ -63,6 +63,41 @@ let test_canon_roundtrip_generated () =
       (List.length b.Cache.Canon.literals)
   done
 
+(* One traversal serializes and substitutes: over the workload corpus
+   and Qgen seed 1, the keys, literal vectors and opaque literals are
+   byte-identical to those of the two-traversal canonicalizer this one
+   replaced (the digest below), and substituting the sentinels and
+   re-analyzing gives the same key with the sentinels back in slot
+   order. *)
+let test_canon_one_traversal () =
+  let lit = function
+    | Cache.Canon.LInt n -> "i" ^ string_of_int n
+    | Cache.Canon.LFloat f -> Printf.sprintf "f%h" f
+    | Cache.Canon.LStr s -> "s" ^ s
+    | Cache.Canon.LDate s -> "d" ^ s
+  in
+  let sqls =
+    List.map snd Workloads.all_named @ List.init 200 (fun case -> Testgen.Qgen.sql_of ~seed:1 ~case)
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun sql ->
+      let ast = parse sql in
+      let a = Cache.Canon.analyze ast in
+      Buffer.add_string b
+        (String.concat "|"
+           [ a.key; String.concat "," (List.map lit a.literals); String.concat "," (List.map lit a.opaque) ]
+        ^ "\n");
+      let sent = Cache.Canon.sentinels a.literals in
+      let again = Cache.Canon.analyze (Cache.Canon.with_literals ast sent) in
+      Alcotest.(check string) (sql ^ ": key under sentinels") a.key again.key;
+      Alcotest.(check (list string)) (sql ^ ": sentinels in slot order") (List.map lit sent)
+        (List.map lit again.literals))
+    sqls;
+  Alcotest.(check string) "keys, literals and opaque literals unchanged"
+    "5ed4e4766ad34591e982a4f3a4ac41e1"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- plan cache ------------------------------------------------------ *)
 
 let no_gens = fun (_ : string) -> 0
@@ -381,6 +416,7 @@ let suite =
     Alcotest.test_case "canon: no collisions" `Quick test_canon_no_collisions;
     Alcotest.test_case "canon: generated round-trip" `Quick
       test_canon_roundtrip_generated;
+    Alcotest.test_case "canon: one traversal" `Quick test_canon_one_traversal;
     Alcotest.test_case "plan cache: LRU eviction" `Quick test_plan_cache_lru_eviction;
     Alcotest.test_case "plan cache: oversized entry" `Quick
       test_plan_cache_oversized_entry;

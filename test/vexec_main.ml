@@ -79,9 +79,10 @@ let () =
       }
     in
     let s = Testgen.Fuzz.run cfg feng in
-    Printf.printf "fuzz[vector/%s] seed %d: %d cases, %d agreed, %d skipped, %d failures\n%!"
+    Printf.printf
+      "fuzz[vector/%s] seed %d: %d cases, %d agreed, %d skipped, %d failures, %.3f s vector execution\n%!"
       label seed s.Testgen.Fuzz.total s.agreed s.skipped
-      (List.length s.failures);
+      (List.length s.failures) s.exec_s;
     List.iter
       (fun (f : Testgen.Fuzz.case_result) ->
         incr failures;
