@@ -23,7 +23,7 @@ type node = {
   mutable fast_path_hits : int;
       (** index probes made instead of a scan, counted on the Select
           over the scan: one per evaluation in the row engine, one per
-          distinct binding of a batched Apply's native inner *)
+          distinct binding of a batched Apply's probing inner *)
   mutable hash_build_rows : int;  (** hash-join build rows / aggregation groups *)
   mutable batches : int;  (** vectorized batches produced (vector mode) *)
   mutable apply_batches : int;  (** outer batches processed by batched Apply *)
