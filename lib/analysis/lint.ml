@@ -1,8 +1,11 @@
 (* Plan linter: a bottom-up static pass over final (optimized) plans.
 
-   Each check is a sound consequence of the derived properties of
-   [Relalg.Fd] and the predicate analyses of [Relalg.Props] — when a
-   finding fires, the reported fact is true of the plan, not a
+   Each check is a sound consequence of facts the optimizer itself
+   derives, read from their one implementation: the properties and
+   row-local equalities and constants of [Relalg.Fd], the predicate
+   verdict of [Relalg.Props], the column demand of
+   [Normalize.Prune.demand] and the column classes of [Col.classes].
+   When a finding fires, the reported fact is true of the plan, not a
    heuristic guess.  Severities:
 
    ERROR    the plan computes something statically nonsensical; the
@@ -81,21 +84,6 @@ let rec cross_type_cmps (e : expr) : (Value.ty * Value.ty) list =
      runs on optimized plans where they no longer occur *)
   | Subquery _ | Exists _ | InSub _ | QuantCmp _ -> []
 
-(* the scalar expressions evaluated by one operator (children excluded) *)
-let node_exprs (o : op) : expr list =
-  let agg_exprs aggs =
-    List.filter_map (fun (a : agg) -> agg_input_expr a.fn) aggs
-  in
-  match o with
-  | Select (p, _) -> [ p ]
-  | Project (ps, _) -> List.map (fun p -> p.expr) ps
-  | Join { pred; _ } | Apply { pred; _ } -> [ pred ]
-  | GroupBy { aggs; _ } | LocalGroupBy { aggs; _ } | ScalarAgg { aggs; _ } ->
-      agg_exprs aggs
-  | TableScan _ | ConstTable _ | CseScan _ | SegmentApply _ | SegmentHole _
-  | UnionAll _ | Except _ | Max1row _ | Rownum _ ->
-      []
-
 let count_outerjoins (o : op) : int =
   let n = ref 0 in
   let rec walk o =
@@ -107,99 +95,26 @@ let count_outerjoins (o : op) : int =
   walk o;
   !n
 
-(* ------------------------------------------------------------------ *)
-(* The dead-column walk: top-down with the set of columns the context  *)
-(* requires, mirroring the column-pruning pass (Normalize.Prune) but   *)
-(* reporting instead of rewriting.  Base-table scans are exempt — they *)
-(* are full-width by design (storage rows are never narrowed).         *)
-(* ------------------------------------------------------------------ *)
-
+(* The dead-column walk: top-down with the set of columns the context
+   requires, by the column-pruning pass's own rule
+   ({!Normalize.Prune.demand}), reporting instead of rewriting.
+   Base-table scans are exempt: they are full-width by design (storage
+   rows are never narrowed). *)
 let dead_columns (root : op) : (string * Col.t list) list =
   let found = ref [] in
-  let report child required =
-    match child with
-    | TableScan _ | ConstTable _ | SegmentHole _ -> ()
-    | _ ->
-        let dead =
-          List.filter (fun c -> not (Col.Set.mem c required)) (Op.schema child)
-        in
-        if dead <> [] then found := (Pp.label child, dead) :: !found
-  in
   let rec walk (required : Col.Set.t) (o : op) =
-    let visit child req =
-      let req = Col.Set.inter req (Op.schema_set child) in
-      report child req;
-      walk req child
-    in
-    match o with
-    | TableScan _ | ConstTable _ | SegmentHole _ | CseScan _ -> ()
-    | Select (p, i) -> visit i (Col.Set.union required (Expr.cols p))
-    | Project (projs, i) ->
-        let used = List.filter (fun pr -> Col.Set.mem pr.out required) projs in
-        let below =
-          List.fold_left
-            (fun acc pr -> Col.Set.union acc (Expr.cols pr.expr))
-            Col.Set.empty used
-        in
-        visit i below
-    | Join { pred; left; right; _ } ->
-        let req = Col.Set.union required (Expr.cols pred) in
-        visit left req;
-        visit right req
-    | Apply { pred; left; right; _ } ->
-        (* the right side's correlated references must survive in the left *)
-        let req =
-          Col.Set.union required (Col.Set.union (Expr.cols pred) (Op.free_cols right))
-        in
-        visit left req;
-        visit right req
-    | SegmentApply { seg_cols; outer; inner } ->
-        let hole_srcs =
-          let acc = ref Col.Set.empty in
-          let rec srcs o =
-            (match o with
-            | SegmentHole { src; _ } -> acc := Col.Set.union !acc (Col.Set.of_list src)
-            | _ -> ());
-            List.iter srcs (Op.children o)
-          in
-          srcs inner;
-          !acc
-        in
-        visit outer
-          (Col.Set.union required (Col.Set.union (Col.Set.of_list seg_cols) hole_srcs));
-        visit inner required
-    | GroupBy { keys; aggs; input } | LocalGroupBy { keys; aggs; input } ->
-        let used_aggs =
-          List.filter (fun (a : agg) -> Col.Set.mem a.out required) aggs
-        in
-        let below =
-          List.fold_left
-            (fun acc (a : agg) ->
-              match agg_input_expr a.fn with
-              | None -> acc
-              | Some e -> Col.Set.union acc (Expr.cols e))
-            (Col.Set.of_list keys) used_aggs
-        in
-        visit input below
-    | ScalarAgg { aggs; input } ->
-        let used_aggs =
-          List.filter (fun (a : agg) -> Col.Set.mem a.out required) aggs
-        in
-        let below =
-          List.fold_left
-            (fun acc (a : agg) ->
-              match agg_input_expr a.fn with
-              | None -> acc
-              | Some e -> Col.Set.union acc (Expr.cols e))
-            Col.Set.empty used_aggs
-        in
-        visit input below
-    | UnionAll (l, r) | Except (l, r) ->
-        (* positional operators: full width on both sides *)
-        visit l (Op.schema_set l);
-        visit r (Op.schema_set r)
-    | Max1row i -> visit i required
-    | Rownum { input; _ } -> visit input required
+    List.iter2
+      (fun child req ->
+        let req = Col.Set.inter req (Op.schema_set child) in
+        (match child with
+        | TableScan _ | ConstTable _ | SegmentHole _ -> ()
+        | _ -> (
+            match List.filter (fun c -> not (Col.Set.mem c req)) (Op.schema child) with
+            | [] -> ()
+            | dead -> found := (Pp.label child, dead) :: !found));
+        walk req child)
+      (Op.children o)
+      (Normalize.Prune.demand o required)
   in
   walk (Op.schema_set root) root;
   List.rev !found
@@ -212,10 +127,11 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
     findings := { severity; code; node; detail } :: !findings
   in
   (* per-node checks, bottom-up; the walk folds the property analysis
-     ({!Fd.step}), so each node is analysed once and every check reads
-     its node's and children's results *)
-  let rec walk (o : op) : Fd.t =
-    let kids = List.map walk (Op.children o) in
+     ({!Fd.step}) and the row-local equalities and constants
+     ({!Fd.eq_step}), so each node is analysed once and every check
+     reads its node's and children's results *)
+  let rec walk (o : op) : Fd.t * Fd.eqs =
+    let kids, kid_eqs = List.split (List.map walk (Op.children o)) in
     let fd = Fd.step ~env o kids in
     let label = Pp.label o in
     (* 0. contradictory cardinality interval: lo > hi means the node can
@@ -237,7 +153,7 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
                  "comparison between %s and %s is FALSE or NULL on every row"
                  (Value.ty_name ta) (Value.ty_name tb)))
           (cross_type_cmps e))
-      (node_exprs o);
+      (Op.local_exprs o);
     (* 2/3. predicate verdicts on filtering operators, over the facts
        of all their inputs *)
     let pred_checks pred =
@@ -248,9 +164,8 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
       in
       let consts =
         List.fold_left
-          (fun acc i ->
-            Col.IdMap.union (fun _ v _ -> Some v) acc (Props.const_bindings i))
-          Col.IdMap.empty (Op.children o)
+          (fun acc (e : Fd.eqs) -> Col.IdMap.union (fun _ v _ -> Some v) acc e.consts)
+          Col.IdMap.empty kid_eqs
       in
       match Props.pred_verdict ~nonnull ~consts pred with
       | Props.Contradiction ->
@@ -294,8 +209,8 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
        the grouping set is widened by the input's per-row equalities and
        constants (which hold through an Apply's inner side, where [Fd]
        keeps no dependencies) and tested again. *)
-    (match (o, kids) with
-    | GroupBy { keys; input; _ }, [ fd ] -> (
+    (match (o, kids, kid_eqs) with
+    | GroupBy { keys; input; _ }, [ fd ], [ eqs ] -> (
         let kset = Col.Set.of_list keys in
         match Fd.cover_chain fd kset with
         | Some (unique, chain) ->
@@ -310,15 +225,14 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
                  | fds ->
                      " via " ^ String.concat ", " (List.map Fd.fd_to_string fds)))
         | None ->
-            let classes = Props.equiv_classes input in
-            let consts = Props.const_bindings input in
-            let const_cols =
-              List.filter
-                (fun (c : Col.t) -> Col.IdMap.mem c.id consts)
-                (Op.schema input)
+            let equated =
+              List.fold_left
+                (fun acc cls -> if Col.Set.disjoint cls acc then acc else Col.Set.union cls acc)
+                kset (Col.classes eqs.equal)
             in
             let covered =
-              Col.Set.union (Props.equate classes kset) (Col.Set.of_list const_cols)
+              Col.Set.union equated
+                (Col.Set.filter (fun c -> Col.IdMap.mem c.id eqs.consts) (Op.schema_set input))
             in
             if Fd.covers_key fd covered then
               add Warning "redundant-groupby" label
@@ -333,7 +247,7 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
                "input provably has at most one row (card %s); the guard can be elided"
                (Fd.interval_to_string ki.Fd.card))
     | _ -> ());
-    fd
+    (fd, Fd.eq_step o kid_eqs)
   in
   ignore (walk plan);
   (* whole-plan checks *)

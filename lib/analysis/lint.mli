@@ -1,7 +1,8 @@
 (** Plan linter: a static bottom-up pass over optimized plans, built on
-    the derived properties of {!Relalg.Fd} and the predicate analyses of
-    {!Relalg.Props}.  Every finding is a sound
-    consequence of the plan's structure, not a heuristic.
+    the derived properties and row-local facts of {!Relalg.Fd}, the
+    predicate verdict of {!Relalg.Props} and the column demand of
+    {!Normalize.Prune.demand}.  Every finding is a sound consequence of
+    the plan's structure, not a heuristic.
 
     Checks and severities:
 

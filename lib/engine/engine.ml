@@ -167,8 +167,8 @@ let stage_guard (phase : Errors.phase) (sql : string) (f : unit -> 'a) : 'a =
 (* The full parse-to-search pipeline on a pre-bound query; every
    prepare — cached or not — ends up here for the plans it actually
    compiles. *)
-let prepare_bound ?(config = Optimizer.Config.full) ?must ?(record_trace = false)
-    ?(verify = true) (t : t) ~(sql : string) (bound : Sqlfront.Binder.bound) : prepared =
+let prepare_bound ?(config = Optimizer.Config.full) ?must ?(record_trace = false) (t : t)
+    ~(sql : string) (bound : Sqlfront.Binder.bound) : prepared =
   let opts =
     { Normalize.env = t.props_env;
       decorrelate = config.decorrelate;
@@ -177,12 +177,9 @@ let prepare_bound ?(config = Optimizer.Config.full) ?must ?(record_trace = false
     }
   in
   let stages = stage_guard Errors.Normalize sql (fun () -> Normalize.run opts bound.op) in
-  if verify then begin
-    reject_invalid ~what:"normalized plan" sql (Verify.check stages.normalized);
-    reject_invalid ~what:"outerjoin simplification" sql
-      (Verify.check_oj_simplification ~before:stages.decorrelated
-         ~after:stages.oj_simplified)
-  end;
+  reject_invalid ~what:"normalized plan" sql (Verify.check stages.normalized);
+  reject_invalid ~what:"outerjoin simplification" sql
+    (Verify.check_oj_simplification ~before:stages.decorrelated ~after:stages.oj_simplified);
   let outcome =
     stage_guard Errors.Plan sql (fun () ->
         if config.max_rounds = 0 then
@@ -194,16 +191,15 @@ let prepare_bound ?(config = Optimizer.Config.full) ?must ?(record_trace = false
             quarantined = [];
           }
         else
-          Optimizer.Search.optimize ?must ~record_trace ~verify config t.stats
+          Optimizer.Search.optimize ?must ~record_trace config t.stats
             ~env:t.props_env stages.normalized)
   in
   (* The search verifies each candidate as it is produced, but the final
      choice is re-checked against the normalized schema: the executor
      slices result rows positionally, so a schema drift in the chosen
      plan would silently return wrong columns. *)
-  if verify then
-    reject_invalid ~what:"chosen plan" sql
-      (Verify.check ~expect_schema:(Op.schema stages.normalized) outcome.best);
+  reject_invalid ~what:"chosen plan" sql
+    (Verify.check ~expect_schema:(Op.schema stages.normalized) outcome.best);
   let lint =
     Analysis.Lint.run
       ~expect:(Analysis.Lint.of_config config)
@@ -358,12 +354,12 @@ let cached_prepare (c : caches) ~(config : Optimizer.Config.t) (t : t) (sql : st
   end
 
 let prepare ?(config = Optimizer.Config.full) ?must ?(record_trace = false)
-    ?(verify = true) ?(use_cache = true) (t : t) (sql : string) : prepared =
+    ?(use_cache = true) (t : t) (sql : string) : prepared =
   match t.caches with
-  | Some c when use_cache && must = None && (not record_trace) && verify ->
+  | Some c when use_cache && must = None && not record_trace ->
       cached_prepare c ~config t sql
   | _ ->
-      prepare_bound ~config ?must ~record_trace ~verify t ~sql
+      prepare_bound ~config ?must ~record_trace t ~sql
         (Sqlfront.Binder.bind_sql t.db.Storage.Database.catalog sql)
 
 (* Execute a prepared query.  Returns the rows plus execution counters
@@ -406,14 +402,38 @@ let execute ?budget ?faults ?(collect_metrics = false) ?(property_check = false)
   in
   let schema = Op.schema p.plan in
   (* Runtime property cross-check: every fact the symbolic engine
-     inferred for the plan root (derived keys, non-nullability, the
-     cardinality interval) must hold on the actual result bag — before
-     ORDER BY / LIMIT / projection narrowing touch it.  A violation is
-     a soundness bug in the property engine or a rewrite, never a data
+     inferred must hold on actual rows.  On the plan root's result bag,
+     before ORDER BY / LIMIT / projection narrowing touch it: derived
+     keys, non-nullability, FDs, the cardinality interval, and the
+     row-local equalities and constants.  The last two, which the
+     linter reads at inner nodes, are also asserted on each closed
+     subtree (one reading no outer or segment column), run on its own
+     by the row engine; a subtree that raises on its own, as a Max1row
+     guard the plan never reaches may, is skipped.  A violation is a
+     soundness bug in the property engine or a rewrite, never a data
      problem, so it is reported as an invalid plan. *)
   if property_check then begin
-    let fd = Fd.analyze ~env:t.props_env p.plan in
-    match Fd.check_rows fd ~schema rows with
+    let sub_ctx = Exec.Executor.make_ctx t.db in
+    sub_ctx.cse <- ctx.cse;
+    let violations = ref [] in
+    let rec walk (o : Algebra.op) : Fd.t * Fd.eqs =
+      let kids, kid_eqs = List.split (List.map walk (Op.children o)) in
+      let fd = Fd.step ~env:t.props_env o kids and eqs = Fd.eq_step o kid_eqs in
+      (if o == p.plan then
+         violations := Fd.check_rows fd ~schema rows @ Fd.check_eqs eqs ~schema rows @ !violations
+       else if Col.Set.is_empty (Op.free_cols o) then
+         match Exec.Executor.run sub_ctx o with
+         | sub ->
+             violations :=
+               List.map
+                 (fun v -> Pp.label o ^ ": " ^ v)
+                 (Fd.check_eqs eqs ~schema:(Op.schema o) sub)
+               @ !violations
+         | exception Exec.Executor.Runtime_error _ -> ());
+      (fd, eqs)
+    in
+    ignore (walk p.plan);
+    match !violations with
     | [] -> ()
     | vs ->
         raise

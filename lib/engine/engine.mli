@@ -65,7 +65,7 @@ type prepared = {
   cache : [ `Hit | `Miss | `Stale ] option;
       (** plan-cache outcome; [None] when the statement bypassed the
           cache (cache disabled, [use_cache:false], or a non-default
-          prepare such as [must]/[record_trace]/[verify:false]) *)
+          prepare such as [must]/[record_trace]) *)
 }
 
 (** Compile a SQL string.  [config] selects the optimizer technology
@@ -81,10 +81,9 @@ type prepared = {
     were verified at insert, so verification is skipped on hits (the
     skip is counted in {!cache_stats}).
 
-    [verify] (default [true]) runs the {!Relalg.Verify} integrity
-    checker at three points: on the normalized plan, across the
-    outerjoin-simplification step, and on the final chosen plan (against
-    the normalized schema).  Each rule-emitted search candidate is also
+    The {!Relalg.Verify} integrity checker runs at three points: on
+    the normalized plan, across the outerjoin-simplification step, and
+    on the final chosen plan (against the normalized schema).  Each rule-emitted search candidate is also
     verified (see {!Optimizer.Search.optimize}).  A failure raises a
     typed {!Errors.t} with phase [Invalid_plan] — recoverable, so
     [query_resilient] degrades to the correlated fallback plan instead
@@ -94,7 +93,6 @@ val prepare :
   ?config:Optimizer.Config.t ->
   ?must:(Algebra.op -> bool) ->
   ?record_trace:bool ->
-  ?verify:bool ->
   ?use_cache:bool ->
   t ->
   string ->
@@ -165,10 +163,12 @@ val exec_mode_name : exec_mode -> string
     [mode] (default [`Row]) selects the execution engine.
     [property_check] asserts every property the symbolic engine
     ({!Relalg.Fd}) inferred for the plan — derived keys,
-    non-nullability, the cardinality interval — against the actual
-    result bag before ORDER BY / LIMIT / narrowing; a violation raises
-    a typed [Invalid_plan] error (it is a soundness bug, not a data
-    problem).
+    non-nullability, FDs, the cardinality interval, the row-local
+    equalities and constants — against the actual result bag before
+    ORDER BY / LIMIT / narrowing, and the equalities and constants
+    also against each closed subtree's rows, run on their own by the
+    row engine; a violation raises a typed [Invalid_plan] error (it is
+    a soundness bug, not a data problem).
     @raise Exec.Executor.Runtime_error for Max1row violations.
     @raise Exec.Budget.Exceeded when a budget limit trips.
     @raise Exec.Faults.Injected under an armed fault plan. *)

@@ -745,20 +745,3 @@ let truncate limit rows =
         | r :: rest -> r :: take (k - 1) rest
       in
       take n rows
-
-(* Execute a query end to end: run, sort, limit, project away the hidden
-   order-by columns ([outputs] lists the visible ones). *)
-let run_query ?budget ?faults ?metrics (db : Storage.Database.t) ~(op : op)
-    ~(outputs : (string * Col.t) list) ~(order : (Col.t * bool) list)
-    ~(limit : int option) : result =
-  let ctx = make_ctx ?budget ?faults ?metrics db in
-  let rows = run ctx op in
-  let schema = Op.schema op in
-  let rows = sort_rows schema order rows in
-  let rows = truncate limit rows in
-  let visible = List.length outputs in
-  let rows =
-    if List.length schema > visible then List.map (fun r -> Array.sub r 0 visible) rows
-    else rows
-  in
-  { col_names = List.map fst outputs; rows }

@@ -115,14 +115,3 @@ type result = { col_names : string list; rows : row list }
 val sort_rows : Col.t list -> (Col.t * bool) list -> row list -> row list
 val truncate : int option -> row list -> row list
 
-(** Run, sort, limit and project away hidden order-by columns. *)
-val run_query :
-  ?budget:Budget.t ->
-  ?faults:Faults.t ->
-  ?metrics:Metrics.t ->
-  Storage.Database.t ->
-  op:op ->
-  outputs:(string * Col.t) list ->
-  order:(Col.t * bool) list ->
-  limit:int option ->
-  result

@@ -11,78 +11,60 @@
      dropped column, so the groups are unchanged);
    - drops unreferenced aggregates and projection items.
 
-   Pruning does not cross UnionAll/Except (positional operators). *)
+   What each child must keep is one rule, [demand], which the linter's
+   dead-column check walks too.  Pruning does not cross UnionAll/Except
+   (positional operators). *)
 
 open Relalg
 open Relalg.Algebra
 
-let expr_cols e = Expr.cols e
+(* the columns of [SegmentHole]s below a SegmentApply's inner: bound by
+   its outer side *)
+let hole_srcs (inner : op) : Col.Set.t =
+  let rec walk acc o =
+    let acc =
+      match o with
+      | SegmentHole { src; _ } -> Col.Set.union acc (Col.Set.of_list src)
+      | _ -> acc
+    in
+    List.fold_left walk acc (Op.children o)
+  in
+  walk Col.Set.empty inner
 
-let rec prune ~(env : Props.env) (required : Col.Set.t) (o : op) : op =
-  let p = prune ~env in
+let demand (o : op) (required : Col.Set.t) : Col.Set.t list =
+  let read pred = Col.Set.union required (Expr.cols pred) in
+  let grouped keys aggs =
+    List.fold_left
+      (fun acc (a : agg) ->
+        match agg_input_expr a.fn with
+        | Some e when Col.Set.mem a.out required -> Col.Set.union acc (Expr.cols e)
+        | _ -> acc)
+      (Col.Set.of_list keys) aggs
+  in
   match o with
-  | TableScan _ | ConstTable _ | SegmentHole _ | CseScan _ -> o
-  | Select (pred, i) -> Select (pred, p (Col.Set.union required (expr_cols pred)) i)
-  | Project (projs, i) ->
-      let kept = List.filter (fun pr -> Col.Set.mem pr.out required) projs in
-      let kept = if kept = [] then [ List.hd projs ] else kept in
-      let below =
-        List.fold_left
-          (fun acc pr -> Col.Set.union acc (expr_cols pr.expr))
-          Col.Set.empty kept
-      in
-      Project (kept, p below i)
-  | Join { kind; pred; left; right } ->
-      let req = Col.Set.union required (expr_cols pred) in
-      Join { kind; pred; left = p req left; right = p req right }
-  | Apply { kind; pred; left; right } ->
+  | TableScan _ | ConstTable _ | SegmentHole _ | CseScan _ -> []
+  | Select (pred, _) -> [ read pred ]
+  | Project (projs, _) ->
+      [ List.fold_left
+          (fun acc pr ->
+            if Col.Set.mem pr.out required then Col.Set.union acc (Expr.cols pr.expr) else acc)
+          Col.Set.empty projs ]
+  | Join { pred; _ } -> [ read pred; read pred ]
+  | Apply { pred; right; _ } ->
       (* the right side's outer references must survive in the left *)
-      let req =
-        Col.Set.union required (Col.Set.union (expr_cols pred) (Op.free_cols right))
-      in
-      Apply { kind; pred; left = p req left; right = p req right }
-  | SegmentApply { seg_cols; outer; inner } ->
-      let hole_srcs =
-        let acc = ref Col.Set.empty in
-        let rec walk o =
-          (match o with
-          | SegmentHole { src; _ } -> acc := Col.Set.union !acc (Col.Set.of_list src)
-          | _ -> ());
-          List.iter walk (Op.children o)
-        in
-        walk inner;
-        !acc
-      in
-      let req_outer =
-        Col.Set.union required (Col.Set.union (Col.Set.of_list seg_cols) hole_srcs)
-      in
-      SegmentApply { seg_cols; outer = p req_outer outer; inner = p required inner }
-  | GroupBy { keys; aggs; input } ->
-      let keys', aggs', below = prune_group ~env required keys aggs input in
-      GroupBy { keys = keys'; aggs = aggs'; input = p below input }
-  | LocalGroupBy { keys; aggs; input } ->
-      let keys', aggs', below = prune_group ~env required keys aggs input in
-      LocalGroupBy { keys = keys'; aggs = aggs'; input = p below input }
-  | ScalarAgg { aggs; input } ->
-      let aggs' = List.filter (fun (a : agg) -> Col.Set.mem a.out required) aggs in
-      let aggs' = if aggs' = [] then [ List.hd aggs ] else aggs' in
-      let below =
-        List.fold_left
-          (fun acc (a : agg) ->
-            match agg_input_expr a.fn with
-            | None -> acc
-            | Some e -> Col.Set.union acc (expr_cols e))
-          Col.Set.empty aggs'
-      in
-      ScalarAgg { aggs = aggs'; input = p below input }
-  | UnionAll (l, r) ->
+      let req = Col.Set.union (read pred) (Op.free_cols right) in
+      [ req; req ]
+  | SegmentApply { seg_cols; inner; _ } ->
+      [ Col.Set.union required (Col.Set.union (Col.Set.of_list seg_cols) (hole_srcs inner));
+        required ]
+  | GroupBy { keys; aggs; _ } | LocalGroupBy { keys; aggs; _ } -> [ grouped keys aggs ]
+  | ScalarAgg { aggs; _ } -> [ grouped [] aggs ]
+  | UnionAll (l, r) | Except (l, r) ->
       (* positional: keep full width on both sides *)
-      UnionAll (p (Op.schema_set l) l, p (Op.schema_set r) r)
-  | Except (l, r) -> Except (p (Op.schema_set l) l, p (Op.schema_set r) r)
-  | Max1row i -> Max1row (p required i)
-  | Rownum { out; input } -> Rownum { out; input = p required input }
+      [ Op.schema_set l; Op.schema_set r ]
+  | Max1row _ | Rownum _ -> [ required ]
 
-and prune_group ~env required keys (aggs : agg list) input =
+let narrow_group ~env required keys (aggs : agg list) input =
   let aggs' = List.filter (fun (a : agg) -> Col.Set.mem a.out required) aggs in
   let needed = List.filter (fun k -> Col.Set.mem k required) keys in
   (* a grouping column may be dropped when the kept columns functionally
@@ -97,12 +79,34 @@ and prune_group ~env required keys (aggs : agg list) input =
   (* grouping with no keys at all would change semantics (vector vs
      scalar aggregation); keep at least one *)
   let keys' = if keys' = [] && keys <> [] then [ List.hd keys ] else keys' in
-  let below =
-    List.fold_left
-      (fun acc (a : agg) ->
-        match agg_input_expr a.fn with
-        | None -> acc
-        | Some e -> Col.Set.union acc (expr_cols e))
-      (Col.Set.of_list keys') aggs'
+  (keys', aggs')
+
+(* The operator's own narrowing: unread items go, and when none is read
+   one stays, its output added to [required] so that [demand] keeps
+   what it reads. *)
+let narrow ~env (required : Col.Set.t) (o : op) : op * Col.Set.t =
+  let keep out items =
+    match List.filter (fun i -> Col.Set.mem (out i) required) items with
+    | [] -> ([ List.hd items ], Col.Set.add (out (List.hd items)) required)
+    | kept -> (kept, required)
   in
-  (keys', aggs', below)
+  match o with
+  | Project (projs, i) ->
+      let kept, required = keep (fun pr -> pr.out) projs in
+      (Project (kept, i), required)
+  | ScalarAgg { aggs; input } ->
+      let kept, required = keep (fun (a : agg) -> a.out) aggs in
+      (ScalarAgg { aggs = kept; input }, required)
+  | GroupBy { keys; aggs; input } ->
+      let keys, aggs = narrow_group ~env required keys aggs input in
+      (GroupBy { keys; aggs; input }, required)
+  | LocalGroupBy { keys; aggs; input } ->
+      let keys, aggs = narrow_group ~env required keys aggs input in
+      (LocalGroupBy { keys; aggs; input }, required)
+  | o -> (o, required)
+
+let rec prune ~(env : Props.env) (required : Col.Set.t) (o : op) : op =
+  let o, required = narrow ~env required o in
+  match Op.children o with
+  | [] -> o
+  | kids -> Op.with_children o (List.map2 (prune ~env) (demand o required) kids)

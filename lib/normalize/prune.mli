@@ -10,4 +10,10 @@
 open Relalg
 open Relalg.Algebra
 
+(** [demand o required]: the columns each child of [o] must produce,
+    in {!Op.children} order, when the context reads [required] of
+    [o]'s output.  Items of [o] whose output is not required read
+    nothing.  The sets may name columns a child does not produce. *)
+val demand : op -> Col.Set.t -> Col.Set.t list
+
 val prune : env:Props.env -> Col.Set.t -> op -> op

@@ -5,8 +5,10 @@
    of the plan as a graph.  Its vertices are the maximal subtrees that
    are not block operators (scans, GroupBy, outer/semi/anti joins,
    Apply, ...); its edges are the conjuncts over two vertices, and the
-   column equalities with their transitive closure
-   ({!Rules.Join_rules.equality_classes}).  A conjunct over one vertex
+   column equalities with their transitive closure ({!Col.classes}):
+   from l = p and p = l2 it derives l = l2, which is how TPC-H Q17's
+   lineitem instances meet before SegmentApply introduction (Section
+   3.4.1) can see them joined.  A conjunct over one vertex
    stays on that vertex; a projection inside the block is hoisted above
    it, its definitions substituted into the predicates above it.
 
@@ -158,31 +160,18 @@ let isolate ?(view = fun (o : op) -> o) (root : op) : graph =
     (fun v o -> List.iter (fun (c : Col.t) -> Col.IdTbl.replace owner c.id v) (Op.schema o))
     vertices;
   let owned (c : Col.t) = Col.IdTbl.mem owner c.id in
-  let roots, col_of =
-    Rules.Join_rules.equality_classes
-      (List.filter
-         (function Cmp (Eq, ColRef a, ColRef b) -> owned a && owned b | _ -> false)
-         conjs)
-  in
-  let by_root = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun id r ->
-      let m = (Col.IdTbl.find owner id, Hashtbl.find col_of id) in
-      Hashtbl.replace by_root r (m :: Option.value ~default:[] (Hashtbl.find_opt by_root r)))
-    roots;
-  let by_id (_, (a : Col.t)) (_, (b : Col.t)) = compare a.id b.id in
   let classes =
-    Array.of_list
-      (List.sort
-         (fun a b -> by_id (List.hd a) (List.hd b))
-         (Hashtbl.fold (fun _ ms acc -> List.sort by_id ms :: acc) by_root []))
+    Col.classes
+      (List.filter_map
+         (function Cmp (Eq, ColRef a, ColRef b) when owned a && owned b -> Some (a, b) | _ -> None)
+         conjs)
+    |> List.map (fun s ->
+           List.map (fun (c : Col.t) -> (Col.IdTbl.find owner c.id, c)) (Col.Set.elements s))
+    |> Array.of_list
   in
-  let class_of (c : Col.t) =
-    let r = Hashtbl.find roots c.id in
-    let k = ref 0 in
-    while Hashtbl.find roots (snd (List.hd classes.(!k))).id <> r do incr k done;
-    !k
-  in
+  let class_id = Col.IdTbl.create 16 in
+  Array.iteri (fun k ms -> List.iter (fun (_, (c : Col.t)) -> Col.IdTbl.replace class_id c.id k) ms) classes;
+  let class_of (c : Col.t) = Col.IdTbl.find class_id c.id in
   let locals = Array.make n [] in
   let nbr = Array.make n 0 in
   let link m =

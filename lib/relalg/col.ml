@@ -405,3 +405,12 @@ end)
 
 let set_of_list l = Set.of_list l
 let names_of set = Set.elements set |> List.map (fun c -> c.name)
+
+(* Merge each pair into the classes it touches: the classes stay
+   disjoint, so one pass over the pairs suffices. *)
+let classes (pairs : (t * t) list) : Set.t list =
+  let merge classes (a, b) =
+    let touching, rest = List.partition (fun s -> Set.mem a s || Set.mem b s) classes in
+    List.fold_left Set.union (Set.of_list [ a; b ]) touching :: rest
+  in
+  List.sort Set.compare (List.fold_left merge [] pairs)

@@ -94,3 +94,9 @@ end
 
 val set_of_list : t list -> Set.t
 val names_of : Set.t -> string list
+
+(** The equivalence classes of the pairs' reflexive-transitive closure,
+    over the columns the pairs name: disjoint, ordered by their
+    smallest member.  A pair [(x, x)] makes the one-member class
+    [{x}]. *)
+val classes : (t * t) list -> Set.t list

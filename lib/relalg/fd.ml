@@ -669,6 +669,90 @@ let analyze_nodes ~env (o : op) : (op * t) list =
   ignore (go o);
   !acc
 
+(* --- row-local equalities and constants ------------------------------- *)
+
+(* Columns pairwise equal on every output row, in the grouping sense
+   (NULL ≡ NULL, as [covers_key]'s uniqueness), and columns bound to one
+   non-NULL constant.  Sourced from the equality conjuncts of inner
+   join/apply/select predicates, pass-through projections and constant
+   items; facts established below an operator keep holding above it
+   (columns that leave the schema make them vacuous there).  Unlike the
+   FDs, they hold through an Apply's inner side.  A separate fold from
+   [step], so the search, which never reads them, does not build them. *)
+
+type eqs = { equal : (Col.t * Col.t) list; consts : Value.t Col.IdMap.t }
+
+let no_eqs = { equal = []; consts = Col.IdMap.empty }
+
+let pred_eqs (p : expr) : eqs =
+  List.fold_left
+    (fun acc c ->
+      match c with
+      | Cmp (Eq, ColRef a, ColRef b) -> { acc with equal = (a, b) :: acc.equal }
+      | (Cmp (Eq, ColRef col, Const v) | Cmp (Eq, Const v, ColRef col))
+        when not (Value.is_null v) ->
+          { acc with consts = Col.IdMap.add col.Col.id v acc.consts }
+      | _ -> acc)
+    no_eqs (conjuncts p)
+
+(* [a]'s binding of a column wins over [b]'s *)
+let both a b =
+  { equal = a.equal @ b.equal; consts = Col.IdMap.union (fun _ v _ -> Some v) a.consts b.consts }
+
+let eq_step (o : op) (kids : eqs list) : eqs =
+  match (o, kids) with
+  | (TableScan _ | SegmentHole _ | CseScan _), [] -> no_eqs
+  | ConstTable { cols; rows = first :: rest }, [] ->
+      let bind acc (i, (c : Col.t)) =
+        let v = first.(i) in
+        if (not (Value.is_null v)) && List.for_all (fun r -> Value.equal r.(i) v) rest then
+          Col.IdMap.add c.id v acc
+        else acc
+      in
+      { no_eqs with
+        consts = List.fold_left bind Col.IdMap.empty (List.mapi (fun i c -> (i, c)) cols) }
+  | ConstTable _, [] -> no_eqs
+  | Select (p, _), [ i ] -> both (pred_eqs p) i
+  | (Max1row _ | Rownum _), [ i ] -> i
+  | Project (projs, _), [ i ] ->
+      (* a pass-through output equals its source column *)
+      let links =
+        List.filter_map
+          (fun pr -> match pr.expr with ColRef c -> Some (c, pr.out) | _ -> None)
+          projs
+      in
+      let bind acc pr =
+        match pr.expr with
+        | Const v when not (Value.is_null v) -> Col.IdMap.add pr.out.Col.id v acc
+        | ColRef c -> (
+            match Col.IdMap.find_opt c.Col.id i.consts with
+            | Some v -> Col.IdMap.add pr.out.Col.id v acc
+            | None -> acc)
+        | _ -> acc
+      in
+      { equal = links @ i.equal; consts = List.fold_left bind Col.IdMap.empty projs }
+  | (Join { kind; pred; right; _ } | Apply { kind; pred; right; _ }), [ l; r ] -> (
+      match kind with
+      | Inner -> both (pred_eqs pred) (both l r)
+      | LeftOuter ->
+          (* the predicate holds on matched rows only, and padding
+             breaks the right side's constants.  Its equalities among
+             its own columns survive as NULL ≡ NULL; one with an outer
+             reference does not, as padding leaves that side non-NULL *)
+          let outer = Op.free_cols right in
+          let own (a, b) = not (Col.Set.mem a outer || Col.Set.mem b outer) in
+          { l with equal = l.equal @ List.filter own r.equal }
+      | Semi | Anti -> l)
+  | SegmentApply _, [ _; inner ] -> { inner with consts = Col.IdMap.empty }
+  | (GroupBy { keys; _ } | LocalGroupBy { keys; _ }), [ i ] ->
+      { i with
+        consts =
+          Col.IdMap.filter (fun id _ -> List.exists (fun (k : Col.t) -> k.id = id) keys) i.consts
+      }
+  | ScalarAgg _, [ _ ] | UnionAll _, [ _; _ ] -> no_eqs
+  | Except _, [ l; _ ] -> l
+  | _ -> invalid_arg "Fd.eq_step: arity mismatch"
+
 (* --- runtime cross-check ---------------------------------------------- *)
 
 module VMap = Map.Make (struct
@@ -751,6 +835,30 @@ let check_rows (t : t) ~(schema : Col.t list) (rows : Value.t array list) :
       | _ -> ())
     t.fds;
   List.rev !errs
+
+(* Assert the row-local equalities and constants whose columns are
+   visible, as [check_rows] does the other facts. *)
+let check_eqs (eqs : eqs) ~(schema : Col.t list) (rows : Value.t array list) : string list =
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i (c : Col.t) -> Hashtbl.replace pos c.id i) schema;
+  let differ i v = List.exists (fun (r : Value.t array) -> not (Value.equal r.(i) (v r))) rows in
+  let pp = Format.asprintf "%a" Col.pp in
+  List.filter_map
+    (fun (a, b) ->
+      match (Hashtbl.find_opt pos a.Col.id, Hashtbl.find_opt pos b.Col.id) with
+      | Some i, Some j when differ i (fun r -> r.(j)) ->
+          Some (Printf.sprintf "equality %s = %s violated" (pp a) (pp b))
+      | _ -> None)
+    eqs.equal
+  @ List.concat
+      (List.mapi
+         (fun i (c : Col.t) ->
+           match Col.IdMap.find_opt c.id eqs.consts with
+           | Some v when differ i (fun _ -> v) ->
+               [ Printf.sprintf "column %s inferred constant %s but varies" (pp c)
+                   (Value.to_string v) ]
+           | _ -> [])
+         schema)
 
 (* One-line summary for EXPLAIN. *)
 let summary t ~(schema : Col.t list) : string =

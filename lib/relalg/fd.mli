@@ -74,10 +74,27 @@ val contradiction : t -> bool
     first (display; capped). *)
 val derived_keys : t -> schema:Col.t list -> Col.Set.t list
 
+(** Row-local facts, folded apart from {!step} so that the search never
+    builds them: column pairs equal on every output row in the grouping
+    sense (NULL ≡ NULL), and columns bound to one non-NULL constant.
+    Sourced from equality conjuncts of inner join/apply/select
+    predicates, pass-through projections and constant items.  Unlike
+    the FDs, they hold through an Apply's inner side.  A pair or
+    binding may name columns no longer in the schema. *)
+type eqs = { equal : (Col.t * Col.t) list; consts : Value.t Col.IdMap.t }
+
+(** [eq_step o kids]: [o]'s row-local facts from its children's, [kids]
+    in {!Op.children} order.
+    @raise Invalid_argument when [kids] does not match [o]'s arity. *)
+val eq_step : op -> eqs list -> eqs
+
 (** Assert the inferred properties against an actual result bag of
     full-width rows in [schema] order.  Returns human-readable
     violations; empty = all checkable properties held. *)
 val check_rows : t -> schema:Col.t list -> Value.t array list -> string list
+
+(** {!check_rows} for the row-local equalities and constants. *)
+val check_eqs : eqs -> schema:Col.t list -> Value.t array list -> string list
 
 (** [pinned_right lset rset conjs]: the columns of [rset] pinned by an
     equality conjunct — equated to a column of [lset] or to an

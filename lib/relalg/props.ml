@@ -1,15 +1,13 @@
-(* Catalog environment and predicate analyses.
+(* Catalog environment and the predicate verdict.
 
    [env]             base-table keys and nullability, as the catalog
                      declares them.
-   [equiv_classes]   columns pairwise equal on every output row.
-   [const_bindings]  columns bound to one non-NULL constant.
    [pred_verdict]    is a filter predicate a contradiction or a
                      tautology?
 
-   Keys, non-nullability, at-most-one-row and FD closure live in [Fd],
-   the one engine for those facts.  All analyses here are sound
-   under-approximations. *)
+   Keys, non-nullability, at-most-one-row, FD closure and the row-local
+   equalities and constants live in [Fd], the one engine for those
+   facts.  The verdict is a sound under-approximation. *)
 
 open Algebra
 
@@ -24,132 +22,6 @@ type env = {
 }
 
 let default_env = { table_key = (fun _ -> []); table_nullable = (fun _ -> []) }
-
-(* ------------------------------------------------------------------ *)
-
-(* Column equivalence classes: sets of columns that are pairwise equal
-   on every output row, in the GROUPING sense (two NULLs count as
-   equal).  Sourced from equality conjuncts of inner join/apply/select
-   predicates and from pass-through projections; pairs established
-   below an operator keep holding above it (columns that leave the
-   schema make the claim vacuous there).  The grouping notion matches
-   [Fd.covers_key], whose uniqueness is also up to NULL-equality, so
-   the classes can soundly extend a grouping set for key-coverage
-   tests. *)
-
-let pred_eq_pairs (p : expr) : (Col.t * Col.t) list =
-  List.filter_map
-    (function Cmp (Eq, ColRef a, ColRef b) -> Some (a, b) | _ -> None)
-    (conjuncts p)
-
-let rec equal_pairs (o : op) : (Col.t * Col.t) list =
-  match o with
-  | TableScan _ | ConstTable _ | SegmentHole _ | CseScan _ -> []
-  | Select (p, i) -> pred_eq_pairs p @ equal_pairs i
-  | Max1row i | Rownum { input = i; _ } -> equal_pairs i
-  | Project (projs, i) ->
-      (* a pass-through output equals its source column *)
-      let links =
-        List.filter_map
-          (fun pr -> match pr.expr with ColRef c -> Some (c, pr.out) | _ -> None)
-          projs
-      in
-      links @ equal_pairs i
-  | Join { kind; pred; left; right } | Apply { kind; pred; left; right } -> (
-      match kind with
-      | Semi | Anti -> equal_pairs left
-      | Inner -> pred_eq_pairs pred @ equal_pairs left @ equal_pairs right
-      | LeftOuter ->
-          (* the predicate only holds on matched rows; pairs internal to
-             the padded side survive as NULL ≡ NULL *)
-          equal_pairs left @ equal_pairs right)
-  | SegmentApply { inner; _ } -> equal_pairs inner
-  | GroupBy { input; _ } | LocalGroupBy { input; _ } -> equal_pairs input
-  | ScalarAgg _ -> []
-  | UnionAll _ -> []
-  | Except (l, _) -> equal_pairs l
-
-let equiv_classes (o : op) : Col.Set.t list =
-  let merge classes (a, b) =
-    let touching, rest =
-      List.partition (fun s -> Col.Set.mem a s || Col.Set.mem b s) classes
-    in
-    let merged =
-      List.fold_left Col.Set.union (Col.Set.of_list [ a; b ]) touching
-    in
-    merged :: rest
-  in
-  List.filter
-    (fun s -> Col.Set.cardinal s >= 2)
-    (List.fold_left merge [] (equal_pairs o))
-
-(* Extend [s] with every column equivalent to one of its members (the
-   classes are disjoint, so one pass suffices). *)
-let equate (classes : Col.Set.t list) (s : Col.Set.t) : Col.Set.t =
-  List.fold_left
-    (fun acc cls -> if Col.Set.disjoint cls acc then acc else Col.Set.union cls acc)
-    s classes
-
-(* ------------------------------------------------------------------ *)
-
-(* Columns bound to a single non-NULL constant on every output row. *)
-
-let pred_const_bindings (p : expr) : Value.t Col.IdMap.t =
-  List.fold_left
-    (fun acc c ->
-      match c with
-      | Cmp (Eq, ColRef col, Const v) | Cmp (Eq, Const v, ColRef col)
-        when not (Value.is_null v) ->
-          Col.IdMap.add col.Col.id v acc
-      | _ -> acc)
-    Col.IdMap.empty (conjuncts p)
-
-let rec const_bindings (o : op) : Value.t Col.IdMap.t =
-  let union = Col.IdMap.union (fun _ v _ -> Some v) in
-  match o with
-  | TableScan _ | SegmentHole _ | CseScan _ -> Col.IdMap.empty
-  | ConstTable { cols; rows } -> (
-      match rows with
-      | [] -> Col.IdMap.empty
-      | first :: rest ->
-          List.fold_left
-            (fun acc (i, (c : Col.t)) ->
-              if
-                (not (Value.is_null first.(i)))
-                && List.for_all (fun r -> Value.equal r.(i) first.(i)) rest
-              then Col.IdMap.add c.id first.(i) acc
-              else acc)
-            Col.IdMap.empty
-            (List.mapi (fun i c -> (i, c)) cols))
-  | Select (p, i) -> union (pred_const_bindings p) (const_bindings i)
-  | Max1row i | Rownum { input = i; _ } -> const_bindings i
-  | Project (projs, i) ->
-      let below = const_bindings i in
-      List.fold_left
-        (fun acc pr ->
-          match pr.expr with
-          | Const v when not (Value.is_null v) -> Col.IdMap.add pr.out.Col.id v acc
-          | ColRef c -> (
-              match Col.IdMap.find_opt c.Col.id below with
-              | Some v -> Col.IdMap.add pr.out.Col.id v acc
-              | None -> acc)
-          | _ -> acc)
-        Col.IdMap.empty projs
-  | Join { kind = Inner; pred; left; right } | Apply { kind = Inner; pred; left; right }
-    ->
-      union (pred_const_bindings pred)
-        (union (const_bindings left) (const_bindings right))
-  | Join { kind = LeftOuter | Semi | Anti; left; _ }
-  | Apply { kind = LeftOuter | Semi | Anti; left; _ } ->
-      (* the padded right side breaks its bindings; the predicate only
-         holds on matched rows *)
-      const_bindings left
-  | GroupBy { keys; input; _ } | LocalGroupBy { keys; input; _ } ->
-      Col.IdMap.filter
-        (fun id _ -> List.exists (fun (k : Col.t) -> k.id = id) keys)
-        (const_bindings input)
-  | ScalarAgg _ | UnionAll _ | SegmentApply _ -> Col.IdMap.empty
-  | Except (l, _) -> const_bindings l
 
 (* ------------------------------------------------------------------ *)
 

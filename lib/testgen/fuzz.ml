@@ -55,9 +55,9 @@ type config = {
           exercises the batched-Apply paths instead of decorrelated
           joins *)
   property_check : bool;
-      (** assert the symbolic property engine's inferred facts (derived
-          keys, non-nullability, cardinality intervals) against the
-          candidate's actual result bag on every case *)
+      (** assert the symbolic property engine's inferred facts against
+          the candidate's actual rows on every case (see
+          [Engine.execute]'s [property_check]) *)
   cache : bool;
       (** caching-tier contract instead of the differential check:
           every case runs twice against a cache-enabled engine — cold,

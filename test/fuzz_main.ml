@@ -10,7 +10,9 @@
 
    With --property-check, every case additionally asserts the symbolic
    property engine's inferred facts (derived keys, non-nullability,
-   cardinality intervals) against the candidate's actual result bag.
+   FDs, cardinality intervals, row-local equalities and constants)
+   against the candidate's actual result bag, and the equalities and
+   constants on every closed subtree as well (see Engine.execute).
 
    With --cache, the differential check is replaced by the
    caching-tier contract: every case runs cold and then warm with

@@ -41,7 +41,7 @@ let cross_type_cmp () =
   Alcotest.(check bool) "int = int clean" false (has "cross-type-cmp" (lint env ok))
 
 let contradictory_pred () =
-  let env, _, _, r, rcols = ops () in
+  let env, s, scols, r, rcols = ops () in
   let rc = List.hd rcols in
   let unsat =
     Select (And (gt0 rc, Cmp (Lt, ColRef rc, Const (Value.Int 0))), r)
@@ -52,7 +52,18 @@ let contradictory_pred () =
   Alcotest.(check bool) "IS NULL on NOT NULL col flagged" true
     (has "contradictory-pred" (lint env isnull));
   Alcotest.(check bool) "x>0 alone clean" false
-    (has "contradictory-pred" (lint env (Select (gt0 rc, r))))
+    (has "contradictory-pred" (lint env (Select (gt0 rc, r))));
+  (* a HAVING over a count the plan computes as the constant 1 *)
+  let cnt = Col.fresh "cnt" Value.TInt in
+  let one =
+    Project
+      ( [ { expr = ColRef (List.hd scols); out = List.hd scols };
+          { expr = Const (Value.Int 1); out = cnt } ],
+        s )
+  in
+  Alcotest.(check bool) "7.26 <= constant 1 flagged" true
+    (has "contradictory-pred"
+       (lint env (Select (Cmp (Le, Const (Value.Float 7.26), ColRef cnt), one))))
 
 let tautological_pred () =
   let env, _, _, r, rcols = ops () in
@@ -63,7 +74,20 @@ let tautological_pred () =
   (* rd is nullable: the same shape is not a tautology *)
   let open_ = Select (Not (IsNull (ColRef rd)), r) in
   Alcotest.(check bool) "nullable col clean" false
-    (has "tautological-pred" (lint env open_))
+    (has "tautological-pred" (lint env open_));
+  (* a HAVING over a count the plan computes as the constant 1 *)
+  let cnt = Col.fresh "cnt" Value.TInt in
+  let one =
+    Project
+      ([ { expr = ColRef rc; out = rc }; { expr = Const (Value.Int 1); out = cnt } ], r)
+  in
+  Alcotest.(check bool) "5.62 >= constant 1 flagged" true
+    (has "tautological-pred"
+       (lint env (Select (Cmp (Ge, Const (Value.Float 5.62), ColRef cnt), one))));
+  let varies = Project ([ { expr = ColRef rc; out = cnt } ], r) in
+  Alcotest.(check bool) "5.62 >= a column clean" false
+    (has "tautological-pred"
+       (lint env (Select (Cmp (Ge, Const (Value.Float 5.62), ColRef cnt), varies))))
 
 let redundant_groupby () =
   let env, s, scols, r, rcols = ops () in
@@ -81,7 +105,27 @@ let redundant_groupby () =
     (has "redundant-groupby" (lint env via_equiv));
   let keyless = GroupBy { keys = [ rc ]; aggs = agg rd; input = r } in
   Alcotest.(check bool) "keyless input clean" false
-    (has "redundant-groupby" (lint env keyless))
+    (has "redundant-groupby" (lint env keyless));
+  (* uh = sa inside an Apply's inner side, where the FDs do not reach:
+     the equality extends {ug, uh} to cover the key {sa, ug} *)
+  let u, ucols = Analysis.Smallscope.scan (cat ()) "u" in
+  let ug = List.nth ucols 0 and uh = List.nth ucols 1 in
+  let over inner =
+    GroupBy
+      { keys = [ ug; uh ];
+        aggs = agg sb;
+        input = Apply { kind = Inner; pred = true_; left = s; right = Select (inner, u) }
+      }
+  in
+  Alcotest.(check bool) "key coverage through an Apply's inner equality" true
+    (List.exists
+       (fun (f : Analysis.Lint.finding) ->
+         f.code = "redundant-groupby"
+         && f.detail
+            = "grouping columns cover a key of the input: every group has exactly one row")
+       (lint env (over (eq uh sa))));
+  Alcotest.(check bool) "no inner equality clean" false
+    (has "redundant-groupby" (lint env (over (gt0 uh))))
 
 let residual_apply () =
   let env, s, scols, r, rcols = ops () in

@@ -230,6 +230,35 @@ let test_check_rows () =
   check "cardinality below the interval caught" true
     (Fd.check_rows t2 ~schema:[ x ] [ [| t_int 1 |] ] <> [])
 
+(* --- row-local equalities and constants ---------------------------------- *)
+
+let rec eqs o = Fd.eq_step o (List.map eqs (Op.children o))
+
+(* rc = sa inside an Apply's inner side holds on every matched row; a
+   padded row pairs sa with NULL, so a LeftOuter Apply drops it, while
+   rd = rc between the inner's own columns survives as NULL = NULL *)
+let test_eqs_under_padding () =
+  let inner = Select (And (eq rc sa, eq rd rc), scan_r) in
+  let pairs kind = (eqs (Apply { kind; pred = true_; left = scan_s; right = inner })).Fd.equal in
+  let has a b ps =
+    List.exists (fun (x, y) -> (x, y) = (a, b) || (x, y) = (b, a)) ps
+  in
+  check "inner: rc = sa" true (has rc sa (pairs Inner));
+  check "left outer: no rc = sa" false (has rc sa (pairs LeftOuter));
+  check "left outer: rd = rc" true (has rd rc (pairs LeftOuter));
+  let schema = [ sa; sb; rc; rd ] in
+  let padded = [ [| t_int 1; t_int 2; Value.Null; Value.Null |] ] in
+  check "check_eqs: NULL = NULL holds" true
+    (Fd.check_eqs (eqs (Apply { kind = LeftOuter; pred = true_; left = scan_s; right = inner }))
+       ~schema padded
+    = []);
+  check "check_eqs: a padded row breaks rc = sa" true
+    (Fd.check_eqs { Fd.equal = [ (rc, sa) ]; consts = Col.IdMap.empty } ~schema padded <> []);
+  let x = Col.fresh "x" Value.TInt in
+  let one = eqs (Project ([ { expr = Const (t_int 1); out = x } ], scan_s)) in
+  check "check_eqs: a varying constant caught" true
+    (Fd.check_eqs one ~schema:[ x ] [ [| t_int 1 |]; [| t_int 2 |] ] <> [])
+
 (* --- golden: bench workloads that lose an operator ---------------------- *)
 
 let db = lazy (Datagen.Tpch_gen.database ~sf:0.002 ())
@@ -300,6 +329,7 @@ let suite =
     Alcotest.test_case "scalar agg interval" `Quick test_scalar_agg_interval;
     Alcotest.test_case "rownum manufactures a key" `Quick test_rownum_manufactures_key;
     Alcotest.test_case "check_rows catches violations" `Quick test_check_rows;
+    Alcotest.test_case "equalities under padding" `Quick test_eqs_under_padding;
     Alcotest.test_case "workload: groupby-on-key loses its GroupBy" `Quick
       test_workload_groupby_on_key;
     Alcotest.test_case "workload: unused lookup join is pruned" `Quick

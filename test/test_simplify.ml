@@ -285,6 +285,45 @@ let test_prune_union_untouched () =
   Alcotest.(check int) "arity preserved" 2 (List.length (Op.schema p));
   check_equiv "union prune equivalent" u p
 
+(* Nothing above reads the Project or the ScalarAgg: each keeps its
+   first item, and the Project below keeps the column that item reads,
+   not its own first item. *)
+let test_prune_unread_keeps_one_item () =
+  let e, ecols = fresh_scan "emp" in
+  let eid = List.hd ecols and esal = List.nth ecols 3 in
+  let i = Col.fresh "i" Value.TInt and s = Col.fresh "s" Value.TFloat in
+  let below = Project ([ { expr = ColRef eid; out = i }; { expr = ColRef esal; out = s } ], e) in
+  let reads_s (o : op) =
+    match o with
+    | Project ([ _ ], Project ([ { out; _ } ], TableScan _))
+    | ScalarAgg { aggs = [ _ ]; input = Project ([ { out; _ } ], TableScan _) } ->
+        Col.equal out s
+    | _ -> false
+  in
+  let d = Col.fresh "d" Value.TFloat in
+  let proj =
+    Project
+      ( [ { expr = Arith (Mul, ColRef s, Const (Value.Float 2.)); out = d };
+          { expr = ColRef i; out = Col.fresh "j" Value.TInt } ],
+        below )
+  in
+  let p = prune Col.Set.empty proj in
+  Alcotest.(check bool) "project keeps d and the s it reads" true (reads_s p);
+  check_equiv "project prune equivalent" (Project ([ { expr = ColRef d; out = d } ], proj)) p;
+  let total = Col.fresh "total" Value.TFloat in
+  let agg =
+    ScalarAgg
+      { aggs =
+          [ { fn = Sum (ColRef s); out = total };
+            { fn = Min (ColRef i); out = Col.fresh "m" Value.TInt } ];
+        input = below
+      }
+  in
+  let p = prune Col.Set.empty agg in
+  Alcotest.(check bool) "scalar aggregate keeps sum and the s it reads" true (reads_s p);
+  check_equiv "scalar aggregate prune equivalent"
+    (Project ([ { expr = ColRef total; out = total } ], agg)) p
+
 let suite =
   [ Alcotest.test_case "constant folding" `Quick test_const_fold;
     Alcotest.test_case "select true elided" `Quick test_select_true_elided;
@@ -304,5 +343,6 @@ let suite =
     Alcotest.test_case "prune never merges groups" `Quick test_prune_never_merges_groups;
     Alcotest.test_case "prune drops unused aggs" `Quick test_prune_drops_unused_aggs;
     Alcotest.test_case "prune keeps apply correlation" `Quick test_prune_keeps_apply_correlation;
-    Alcotest.test_case "prune union untouched" `Quick test_prune_union_untouched
+    Alcotest.test_case "prune union untouched" `Quick test_prune_union_untouched;
+    Alcotest.test_case "prune keeps one unread item" `Quick test_prune_unread_keeps_one_item
   ]
