@@ -24,9 +24,13 @@ lint-smoke:
 test:
 	dune runtest
 
-# lines of OCaml (.ml and .mli) in lib/ and bench/: the figure CHANGES
+# lines of OCaml (.ml and .mli) in each lib/ directory and in bench/,
+# then in all of them (the last line): the figures CHANGES
 # and ROADMAP quote for the code's size
 loc:
+	@for d in lib/* bench; do \
+	  echo "$$d $$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"; \
+	done
 	@find lib bench \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 # plan census: one line per Qgen statement (seeds 1-5 x 200 cases, SF

@@ -22,8 +22,18 @@ let level_conv =
   Arg.conv (parse, print)
 
 let sf_arg =
-  let doc = "TPC-H scale factor for the generated database." in
-  Arg.(value & opt float 0.01 & info [ "sf" ] ~docv:"SF" ~doc)
+  let doc = "TPC-H scale factor for the generated database (0.001 or more)." in
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok sf -> (
+        try
+          ignore (Datagen.Tpch_gen.expected_rows sf);
+          Ok sf
+        with Invalid_argument m -> Error (`Msg m))
+    | Error _ as e -> e
+  in
+  let sf = Arg.conv (parse, Arg.conv_printer Arg.float) in
+  Arg.(value & opt sf 0.01 & info [ "sf" ] ~docv:"SF" ~doc)
 
 let seed_arg =
   let doc = "Data generator seed." in

@@ -450,17 +450,6 @@ let multisets (def : Catalog.table) (k : int) : Value.t array list list =
           List.length (List.sort_uniq compare ks) = List.length ks)
         all
 
-let tables_of (o : op) : string list =
-  let acc = ref [] in
-  let rec walk o =
-    (match o with
-    | TableScan { table; _ } -> if not (List.mem table !acc) then acc := table :: !acc
-    | _ -> ());
-    List.iter walk (Op.children o)
-  in
-  walk o;
-  List.sort compare !acc
-
 (* every assignment of a row multiset to each table, in increasing
    total-row order — the first failing database is then minimal *)
 let databases (cat : Catalog.t) (tables : string list) (k : int) :
@@ -595,12 +584,9 @@ let check_rule ?(k = 2) (cat : Catalog.t) (spec : rule_spec) : report =
         firings := !firings + List.length afters;
         if afters = [] then vacuous := label :: !vacuous;
         if afters <> [] then
-          let tables = tables_of tmpl in
           (* afters may scan tables the template does not (none today,
              but keep the enumeration honest) *)
-          let tables =
-            List.sort_uniq compare (tables @ List.concat_map tables_of afters)
-          in
+          let tables = List.sort_uniq compare (List.concat_map Op.tables (tmpl :: afters)) in
           List.iter
             (fun db ->
               if !cx = None then begin

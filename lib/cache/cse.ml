@@ -13,14 +13,14 @@
    equal, and their schemas correspond positionally — which is exactly
    the contract [CseScan] needs.
 
-   Invalidation is generation-based and checked on every read: [fetch]
-   compares the generation vector captured just before the last
-   materialization against the live counters and re-materializes on any
-   movement.  Generations are captured BEFORE executing the subplan, so
-   a mutation that lands mid-materialization invalidates the next read
-   rather than being lost.  Eviction under the byte budget drops an
-   entry's rows only; the metadata stays, so an id embedded in a plan
-   never dangles — the next fetch simply re-materializes. *)
+   The store is two tables.  Interned plans are never dropped, so an
+   id embedded in a plan never dangles.  Their rows live in a
+   [Plan_cache] keyed by id, which brings the byte budget, the LRU,
+   generation-vector invalidation, single-flight materialization and
+   the counters: an evicted or stale entry is simply re-materialized by
+   the next [fetch].  Generations are captured BEFORE executing the
+   subplan, so a mutation that lands mid-materialization invalidates
+   the next read rather than being lost. *)
 
 open Relalg
 open Relalg.Algebra
@@ -56,105 +56,36 @@ let candidates (o : op) : (string * op) list =
   walk o;
   List.rev !acc
 
-let tables_of (o : op) : string list =
-  let acc = ref [] in
-  let rec walk o =
-    (match o with
-    | TableScan { table; _ } -> if not (List.mem table !acc) then acc := table :: !acc
-    | _ -> ());
-    List.iter walk (Op.children o)
-  in
-  walk o;
-  List.rev !acc
-
 (* --- the store ----------------------------------------------------- *)
 
-type entry = {
-  id : string;
-  plan : op;  (** CseScan-free by construction *)
-  schema : Col.t list;
-  tables : string list;
-  cost : float;  (** optimizer cost of recomputing [plan] *)
-  rows_hint : int;
-  mutable rows : Value.t array list option;  (** None: not materialized / evicted *)
-  mutable gens : (string * int) list;
-  mutable bytes : int;
-  mutable tick : int;
-}
-
-type stats = {
-  hits : int;
-  materializations : int;
-  invalidations : int;
-  evictions : int;
-  entries : int;
-  bytes : int;
-}
+type entry = { plan : op;  (** CseScan-free by construction *) tables : string list }
 
 type t = {
-  mu : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
-  max_bytes : int;
-  mutable bytes : int;
-  mutable clock : int;
-  mutable hits : int;
-  mutable materializations : int;
-  mutable invalidations : int;
-  mutable evictions : int;
+  mu : Mutex.t;  (** guards [plans]; never held while a subplan runs *)
+  plans : (string, entry) Hashtbl.t;
+  rows : Value.t array list Plan_cache.t;
 }
 
 let create ?(max_bytes = 64 * 1024 * 1024) () : t =
-  { mu = Mutex.create ();
-    tbl = Hashtbl.create 16;
-    max_bytes;
-    bytes = 0;
-    clock = 0;
-    hits = 0;
-    materializations = 0;
-    invalidations = 0;
-    evictions = 0;
-  }
+  { mu = Mutex.create (); plans = Hashtbl.create 16; rows = Plan_cache.create ~max_bytes () }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let stats (t : t) : stats =
-  locked t (fun () ->
-      { hits = t.hits;
-        materializations = t.materializations;
-        invalidations = t.invalidations;
-        evictions = t.evictions;
-        entries = Hashtbl.length t.tbl;
-        bytes = t.bytes;
-      })
+let interned (t : t) : int = Mutex.protect t.mu (fun () -> Hashtbl.length t.plans)
 
 (* Is a fingerprint already interned (counts as an extra occurrence in
    the batch benefit heuristic)?  And does it currently hold rows
    (materialization already paid)? *)
 let status (t : t) (fp : string) : [ `Absent | `Known | `Materialized ] =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl (id_of_fingerprint fp) with
-      | None -> `Absent
-      | Some e -> if e.rows = None then `Known else `Materialized)
+  let id = id_of_fingerprint fp in
+  if not (Mutex.protect t.mu (fun () -> Hashtbl.mem t.plans id)) then `Absent
+  else if Plan_cache.mem t.rows id then `Materialized
+  else `Known
 
-let intern (t : t) ~(plan : op) ~(cost : float) ~(rows_hint : int) : string =
+let intern (t : t) (plan : op) : string =
   let id = id_of_fingerprint (Fingerprint.of_op plan) in
-  locked t (fun () ->
-      if not (Hashtbl.mem t.tbl id) then
-        Hashtbl.add t.tbl id
-          { id;
-            plan;
-            schema = Op.schema plan;
-            tables = tables_of plan;
-            cost;
-            rows_hint;
-            rows = None;
-            gens = [];
-            bytes = 0;
-            tick = 0;
-          };
-      id)
+  Mutex.protect t.mu (fun () ->
+      if not (Hashtbl.mem t.plans id) then
+        Hashtbl.add t.plans id { plan; tables = Op.tables plan });
+  id
 
 let row_bytes (rows : Value.t array list) : int =
   List.fold_left
@@ -165,71 +96,22 @@ let row_bytes (rows : Value.t array list) : int =
         (acc + 16) r)
     0 rows
 
-(* Drop materialized rows (metadata stays) until the budget holds,
-   least-recently-used first, never touching [keep]. *)
-let enforce_budget t ~(keep : string) =
-  let lru () =
-    Hashtbl.fold
-      (fun _ (e : entry) acc ->
-        if e.id = keep || e.rows = None then acc
-        else
-          match acc with
-          | Some best when best.tick <= e.tick -> acc
-          | _ -> Some e)
-      t.tbl None
-  in
-  let rec go () =
-    if t.bytes > t.max_bytes then
-      match lru () with
-      | Some e ->
-          e.rows <- None;
-          t.bytes <- t.bytes - e.bytes;
-          e.bytes <- 0;
-          t.evictions <- t.evictions + 1;
-          go ()
-      | None -> ()
-  in
-  go ()
-
 exception Unknown_id of string
 
-(* Read an entry's rows, re-materializing when absent or stale.  The
-   generation vector is captured BEFORE running the subplan and the
-   whole operation holds the store lock: entry plans contain no
-   CseScan, so [exec] cannot re-enter. *)
+(* Read an entry's rows, materializing them with [exec] when absent or
+   stale.  Entry plans contain no CseScan, so [exec] cannot re-enter
+   the store. *)
 let fetch (t : t) ~(exec : op -> Value.t array list) ~(current_gen : string -> int)
     (id : string) : Value.t array list =
-  locked t (fun () ->
-      let e =
-        match Hashtbl.find_opt t.tbl id with
-        | Some e -> e
-        | None -> raise (Unknown_id id)
-      in
-      let live = List.for_all (fun (table, g) -> current_gen table = g) e.gens in
-      match e.rows with
-      | Some rows when live ->
-          t.hits <- t.hits + 1;
-          t.clock <- t.clock + 1;
-          e.tick <- t.clock;
-          rows
-      | had ->
-          if had <> None then t.invalidations <- t.invalidations + 1;
-          let gens = List.map (fun table -> (table, current_gen table)) e.tables in
-          let rows = exec e.plan in
-          t.bytes <- t.bytes - e.bytes;
-          e.rows <- Some rows;
-          e.gens <- gens;
-          e.bytes <- row_bytes rows;
-          t.bytes <- t.bytes + e.bytes;
-          t.clock <- t.clock + 1;
-          e.tick <- t.clock;
-          t.materializations <- t.materializations + 1;
-          enforce_budget t ~keep:id;
-          rows)
-
-(* Test hook: the entry's live row count, when materialized. *)
-let materialized_rows (t : t) (id : string) : int option =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl id with
-      | Some { rows = Some rs; _ } -> Some (List.length rs)
-      | _ -> None)
+  let e =
+    match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.plans id) with
+    | Some e -> e
+    | None -> raise (Unknown_id id)
+  in
+  match
+    Plan_cache.find_or_compute t.rows ~key:id ~current_gen ~compute:(fun () ->
+        let gens = List.map (fun table -> (table, current_gen table)) e.tables in
+        let rows = exec e.plan in
+        (rows, gens, row_bytes rows))
+  with
+  | `Hit rows | `Miss rows | `Stale rows -> rows

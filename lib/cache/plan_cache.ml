@@ -177,5 +177,6 @@ let find_or_compute (t : 'a t) ~(key : string) ~(current_gen : string -> int)
           | None -> Relalg.Invariant.broken "Plan_cache: an in-flight entry woke its waiters without an outcome")
       | None -> compute_inflight t ~key ~stale:false ~compute)
 
-(* Test hook: does the cache currently hold a live entry for [key]? *)
+(* Does the cache currently hold an entry for [key] (whether or not its
+   generations have moved since)? *)
 let mem (t : 'a t) (key : string) : bool = locked t (fun () -> Hashtbl.mem t.tbl key)

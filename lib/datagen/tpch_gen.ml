@@ -48,23 +48,41 @@ type sizes = {
 
 let sizes_of_sf sf =
   let s base = max 1 (int_of_float (float_of_int base *. sf)) in
-  { suppliers = s 10_000 / 10;  (* /10: keep laptop-scale runs snappy *)
-    customers = s 150_000 / 10;
-    parts = s 200_000 / 10;
-    orders = s 1_500_000 / 10
-  }
+  let z =
+    { suppliers = s 10_000 / 10;  (* /10: keep laptop-scale runs snappy *)
+      customers = s 150_000 / 10;
+      parts = s 200_000 / 10;
+      orders = s 1_500_000 / 10
+    }
+  in
+  if z.suppliers = 0 then
+    invalid_arg (Printf.sprintf "TPC-H scale factor %g gives no suppliers (use 0.001 or more)" sf);
+  z
+
+(* The suppliers of part [pk] are [1 + (pk + o) mod suppliers] for each
+   offset [o]: dbgen's four spread ones, [j * (suppliers / 4 + 1)],
+   where they are distinct modulo [suppliers], else the first
+   [min 4 suppliers], so that (ps_partkey, ps_suppkey) stays a key. *)
+let supplier_offsets (z : sizes) : int array =
+  let spread = List.init 4 (fun j -> j * ((z.suppliers / 4) + 1)) in
+  if List.length (List.sort_uniq compare (List.map (fun o -> o mod z.suppliers) spread)) = 4
+  then Array.of_list spread
+  else Array.init (min 4 z.suppliers) Fun.id
 
 (* exposed for tests *)
 let expected_rows sf =
   let z = sizes_of_sf sf in
   [ ("region", 5); ("nation", 25); ("supplier", z.suppliers); ("customer", z.customers);
-    ("part", z.parts); ("partsupp", z.parts * 4); ("orders", z.orders) ]
+    ("part", z.parts); ("partsupp", z.parts * Array.length (supplier_offsets z));
+    ("orders", z.orders) ]
 
 let money rng lo hi = Value.Float (Float.round (Prng.float rng lo hi *. 100.) /. 100.)
 
 let generate ?(seed = 42) ~sf (db : Storage.Database.t) : unit =
   let rng = Prng.create seed in
   let z = sizes_of_sf sf in
+  let offsets = supplier_offsets z in
+  let supplier pk j = 1 + ((pk + offsets.(j)) mod z.suppliers) in
   let open Value in
   (* region *)
   Storage.Table.load
@@ -124,14 +142,13 @@ let generate ?(seed = 42) ~sf (db : Storage.Database.t) : unit =
             Str (Prng.pick rng containers);
             Float (900. +. (float_of_int (k mod 1000) /. 10.))
          |]));
-  (* partsupp: 4 suppliers per part *)
+  (* partsupp: 4 suppliers per part (fewer below 4 suppliers) *)
   let partsupp =
     List.concat
       (List.init z.parts (fun i ->
            let pk = i + 1 in
-           List.init 4 (fun j ->
-               let sk = 1 + ((pk + (j * (z.suppliers / 4 + 1))) mod z.suppliers) in
-               [| Int pk; Int sk; Int (1 + Prng.int rng 9999); money rng 1.0 1000.0 |])))
+           List.init (Array.length offsets) (fun j ->
+               [| Int pk; Int (supplier pk j); Int (1 + Prng.int rng 9999); money rng 1.0 1000.0 |])))
   in
   Storage.Table.load (Storage.Database.table db "partsupp") partsupp;
   (* orders + lineitem *)
@@ -145,9 +162,8 @@ let generate ?(seed = 42) ~sf (db : Storage.Database.t) : unit =
     let total = ref 0.0 in
     for ln = 1 to nlines do
       let pk = 1 + Prng.int rng z.parts in
-      (* pick one of the 4 suppliers of that part, as dbgen does *)
-      let j = Prng.int rng 4 in
-      let sk = 1 + ((pk + (j * (z.suppliers / 4 + 1))) mod z.suppliers) in
+      (* pick one of the suppliers of that part, as dbgen does *)
+      let sk = supplier pk (Prng.int rng (Array.length offsets)) in
       let qty = float_of_int (1 + Prng.int rng 50) in
       let price = Float.round (qty *. Prng.float rng 90. 1100.) /. 1. in
       total := !total +. price;

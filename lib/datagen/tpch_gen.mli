@@ -6,7 +6,9 @@
     queries (brands, containers, type grammar, quantities). *)
 
 (** Expected row counts per table for a scale factor (lineitem omitted:
-    1-7 lines per order). *)
+    1-7 lines per order).  This and the generators below raise
+    [Invalid_argument] for a scale factor that gives no suppliers, i.e.
+    one below 0.001. *)
 val expected_rows : float -> (string * int) list
 
 (** Populate all eight TPC-H tables of [db] and build the declared

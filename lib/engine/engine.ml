@@ -245,7 +245,14 @@ let current_gen (t : t) (table : string) : int =
 (* The generation vector a plan-cache entry carries: one (table,
    generation) pair per base table the plan reads. *)
 let plan_gens (t : t) (plan : Algebra.op) : (string * int) list =
-  List.map (fun table -> (table, current_gen t table)) (Cache.Cse.tables_of plan)
+  List.map (fun table -> (table, current_gen t table)) (Op.tables plan)
+
+(* A CSE entry's rows, materialized on a plain row-engine context when
+   absent or stale (entry plans are CseScan-free, so this cannot
+   re-enter the store). *)
+let cse_fetch (t : t) (c : caches) (id : string) : Value.t array list =
+  Cache.Cse.fetch c.cse ~current_gen:(current_gen t) id ~exec:(fun plan ->
+      Exec.Executor.run (Exec.Executor.make_ctx t.db) plan)
 
 (* Rough retained size of a cached template, for the byte budget. *)
 let plan_bytes_of (p : prepared) : int =
@@ -384,16 +391,7 @@ let execute ?budget ?faults ?(collect_metrics = false) ?(property_check = false)
     ?(mode = `Row) (t : t) (p : prepared) : execution =
   let metrics = if collect_metrics then Some (Exec.Metrics.create p.plan) else None in
   let ctx = Exec.Executor.make_ctx ?budget ?faults ?metrics t.db in
-  (* CseScan leaves resolve through the engine's CSE store; the store
-     re-materializes stale entries with a plain row-engine context
-     (entry plans are CseScan-free, so this cannot re-enter) *)
-  (match t.caches with
-  | Some c ->
-      let exec plan =
-        Exec.Executor.run (Exec.Executor.make_ctx t.db) plan
-      in
-      ctx.cse <- Some (fun id -> Cache.Cse.fetch c.cse ~exec ~current_gen:(current_gen t) id)
-  | None -> ());
+  ctx.cse <- Option.map (cse_fetch t) t.caches;
   let t0 = Unix.gettimeofday () in
   let rows =
     match mode with
@@ -493,7 +491,7 @@ let cache_stats (t : t) : cache_stats option =
   | None -> None
   | Some c ->
       let p = Cache.Plan_cache.stats c.plans in
-      let s = Cache.Cse.stats c.cse in
+      let s = Cache.Plan_cache.stats c.cse.Cache.Cse.rows in
       Some
         { plan_hits = p.hits;
           plan_misses = p.misses;
@@ -504,10 +502,10 @@ let cache_stats (t : t) : cache_stats option =
           plan_bytes = p.bytes;
           verify_skips = Atomic.get c.verify_skips;
           cse_hits = s.hits;
-          cse_materializations = s.materializations;
+          cse_materializations = s.misses + s.invalidations;
           cse_invalidations = s.invalidations;
           cse_evictions = s.evictions;
-          cse_entries = s.entries;
+          cse_entries = Cache.Cse.interned c.cse;
           cse_bytes = s.bytes;
         }
 
@@ -531,37 +529,30 @@ let plan_batch_cse (c : caches) (t : t) (preps : prepared list) :
           | None -> Hashtbl.add tally fp (sub, 1))
         (Cache.Cse.candidates p.plan))
     preps;
-  let scored =
-    Hashtbl.fold
-      (fun fp (sub, k) acc ->
-        let known = Cache.Cse.status c.cse fp in
-        if k < 2 && known = `Absent then acc
-        else
-          let cost = Optimizer.Cost.of_plan t.stats sub in
-          let rows_hint =
-            let env = Optimizer.Card.make_env t.stats sub in
-            max 1 (int_of_float (Optimizer.Card.estimate env sub))
-          in
-          let scan =
-            Optimizer.Cost.of_plan t.stats
-              (Algebra.CseScan { id = "?"; cols = Op.schema sub; rows_hint })
-          in
-          let mat = match known with `Materialized -> 0.0 | _ -> cost in
-          let k' = float_of_int k in
-          let benefit = (k' *. cost) -. (k' *. scan) -. mat in
-          if benefit > 0.0 then (benefit, fp, sub, cost, rows_hint) :: acc else acc)
-      tally []
-  in
   (* Chosen winners, keyed by fingerprint.  Scored subtrees overlap
      (a winner can sit inside another winner): substitution is
      top-down, so only the outermost match in each plan is planted —
      entries are interned and materialized lazily, on first actual
      substitution, never for a shadowed inner winner. *)
-  let chosen : (string, Algebra.op * float * int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (_, fp, sub, cost, rows_hint) ->
-      Hashtbl.replace chosen fp (sub, cost, rows_hint))
-    scored;
+  let chosen : (string, Algebra.op * int) Hashtbl.t = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun fp (sub, k) ->
+      let known = Cache.Cse.status c.cse fp in
+      if k >= 2 || known <> `Absent then
+        let cost = Optimizer.Cost.of_plan t.stats sub in
+        let rows_hint =
+          let env = Optimizer.Card.make_env t.stats sub in
+          max 1 (int_of_float (Optimizer.Card.estimate env sub))
+        in
+        let scan =
+          Optimizer.Cost.of_plan t.stats
+            (Algebra.CseScan { id = "?"; cols = Op.schema sub; rows_hint })
+        in
+        let mat = match known with `Materialized -> 0.0 | _ -> cost in
+        let k' = float_of_int k in
+        let benefit = (k' *. cost) -. (k' *. scan) -. mat in
+        if benefit > 0.0 then Hashtbl.replace chosen fp (sub, rows_hint))
+    tally;
   if Hashtbl.length chosen = 0 then (preps, 0, 0)
   else begin
     let used : (string, string * int) Hashtbl.t = Hashtbl.create 8 in
@@ -574,12 +565,12 @@ let plan_batch_cse (c : caches) (t : t) (preps : prepared list) :
       | _ -> (
           let fp = Fingerprint.of_op o in
           match Hashtbl.find_opt chosen fp with
-          | Some (sub, cost, rows_hint) ->
+          | Some (sub, rows_hint) ->
               let id, rows_hint =
                 match Hashtbl.find_opt used fp with
                 | Some cached -> cached
                 | None ->
-                    let id = Cache.Cse.intern c.cse ~plan:sub ~cost ~rows_hint in
+                    let id = Cache.Cse.intern c.cse sub in
                     Hashtbl.replace used fp (id, rows_hint);
                     (id, rows_hint)
               in
@@ -603,13 +594,7 @@ let plan_batch_cse (c : caches) (t : t) (preps : prepared list) :
     in
     (* pre-materialize every planted entry so statement execution only
        scans *)
-    let exec plan =
-      Exec.Executor.run (Exec.Executor.make_ctx t.db) plan
-    in
-    Hashtbl.iter
-      (fun _ (id, _) ->
-        ignore (Cache.Cse.fetch c.cse ~exec ~current_gen:(current_gen t) id))
-      used;
+    Hashtbl.iter (fun _ (id, _) -> ignore (cse_fetch t c id)) used;
     (preps', Hashtbl.length used, !nsub)
   end
 
@@ -654,12 +639,6 @@ let query_many ?config ?budget ?faults ?mode ?(use_cache = true) (t : t)
 (* ------------------------------------------------------------------ *)
 (* Checked entry points: typed diagnostics instead of exceptions.     *)
 (* ------------------------------------------------------------------ *)
-
-let prepare_checked ?config ?must (t : t) (sql : string) : (prepared, Errors.t) result =
-  Errors.protect ~sql (fun () -> prepare ?config ?must t sql)
-
-let execute_checked ?budget ?faults (t : t) (p : prepared) : (execution, Errors.t) result =
-  Errors.protect ~sql:p.sql (fun () -> execute ?budget ?faults t p)
 
 let query_checked ?config ?budget ?faults (t : t) (sql : string) :
     (Exec.Executor.result, Errors.t) result =

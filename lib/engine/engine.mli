@@ -104,11 +104,15 @@ val prepare :
     cache (canonical form → optimized template, generation-vector
     invalidation, LRU + byte budget, single-flight computation) and a
     CSE store of materialized common subexpressions served through the
-    [CseScan] access path. *)
+    [CseScan] access path.  The CSE store keeps its rows in a second
+    cache of the same kind, keyed by entry id, so they get the same
+    invalidation, eviction and single flight. *)
 
 (** Switch the caching tier on.  [plan_bytes] (default 8 MiB) budgets
     the plan cache, [cse_bytes] (default 64 MiB) the materialized
-    rows.  Idempotent: calling it again keeps the existing caches. *)
+    rows; in either, an entry larger than the whole budget is returned
+    but not kept.  Idempotent: calling it again keeps the existing
+    caches. *)
 val enable_cache : ?plan_bytes:int -> ?cse_bytes:int -> t -> unit
 
 val cache_enabled : t -> bool
@@ -122,12 +126,12 @@ type cache_stats = {
   plan_entries : int;
   plan_bytes : int;
   verify_skips : int;  (** verifier runs skipped on plan-cache hits *)
-  cse_hits : int;
-  cse_materializations : int;
-  cse_invalidations : int;
-  cse_evictions : int;
-  cse_entries : int;
-  cse_bytes : int;
+  cse_hits : int;  (** reads served by kept rows or by a concurrent materialization *)
+  cse_materializations : int;  (** subplan runs: misses plus invalidations *)
+  cse_invalidations : int;  (** rows re-materialized because a table generation moved *)
+  cse_evictions : int;  (** rows dropped by the byte budget; the id stays *)
+  cse_entries : int;  (** interned ids, kept or evicted *)
+  cse_bytes : int;  (** size of the rows kept *)
 }
 
 (** [None] until {!enable_cache}. *)
@@ -233,16 +237,6 @@ val query_many :
     Same pipeline, but every failure the pipeline vocabulary knows
     about (lex/parse/bind/normalize/plan/runtime/budget/fault) comes
     back as a structured {!Errors.t} instead of an exception. *)
-
-val prepare_checked :
-  ?config:Optimizer.Config.t ->
-  ?must:(Algebra.op -> bool) ->
-  t ->
-  string ->
-  (prepared, Errors.t) result
-
-val execute_checked :
-  ?budget:Exec.Budget.t -> ?faults:Exec.Faults.t -> t -> prepared -> (execution, Errors.t) result
 
 val query_checked :
   ?config:Optimizer.Config.t ->

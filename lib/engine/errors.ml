@@ -3,10 +3,10 @@
    Every failure a query can hit — lexing, parsing, binding,
    normalization, planning, execution, budget exhaustion, injected
    faults — is classified into one structured value, so the engine's
-   checked entry points ([Engine.prepare_checked], [execute_checked],
-   [query_checked]) can return diagnostics instead of leaking ad-hoc
-   exceptions, and the degradation logic can decide which failures are
-   worth retrying on the correlated plan.
+   checked entry points ([Engine.query_checked],
+   [query_resilient_checked]) can return diagnostics instead of
+   leaking ad-hoc exceptions, and the degradation logic can decide
+   which failures are worth retrying on the correlated plan.
 
    Recoverability is the key split: [Runtime]/[Budget]/[Fault] errors
    are properties of the *chosen plan or its execution*, so a different

@@ -980,9 +980,6 @@ let apply_everywhere_sites (rule : rule) (t : op) : firing list =
         acc (rule.apply node))
     [] (positions t)
 
-let apply_everywhere (rule : rule) (t : op) : op list =
-  List.map (fun f -> f.result) (apply_everywhere_sites rule t)
-
 
 (* --- the search -------------------------------------------------------- *)
 

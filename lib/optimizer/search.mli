@@ -35,10 +35,6 @@ val make_rule : ?pattern:pat list -> string -> (op -> op list) -> rule
     [stats]. *)
 val rules_for : Config.t -> Stats.t -> env:Props.env -> rule list
 
-(** Fire a rule at every node of a tree, returning one whole tree per
-    firing (the prover's view of a rule). *)
-val apply_everywhere : rule -> op -> op list
-
 (** One rule firing, with the local subtrees it rewrote — the evidence
     the integrity verifier needs to re-check the rewrite's side
     conditions ({!Relalg.Verify.check_rewrite}). *)
@@ -48,7 +44,9 @@ type firing = {
   result : op;  (** the whole tree with the site replaced *)
 }
 
-(** Like {!apply_everywhere}, but keeps the rewrite sites. *)
+(** Fire a rule at every node of a tree: one firing per rewrite, with
+    its site and the whole rewritten tree (the prover's view of a
+    rule). *)
 val apply_everywhere_sites : rule -> op -> firing list
 
 (** {2 Search trace}

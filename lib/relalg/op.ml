@@ -337,6 +337,13 @@ let count_ops (o : op) : int =
   let rec go acc o = List.fold_left go (acc + 1) (children o) in
   go 0 o
 
+let tables (o : op) : string list =
+  let rec go acc o =
+    let acc = match o with TableScan { table; _ } -> table :: acc | _ -> acc in
+    List.fold_left go acc (children o)
+  in
+  List.sort_uniq compare (go [] o)
+
 (* ------------------------------------------------------------------ *)
 (* Index-lookup access path.                                          *)
 (* ------------------------------------------------------------------ *)

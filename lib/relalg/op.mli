@@ -62,6 +62,9 @@ val map_bottom_up : (op -> op) -> op -> op
 val exists_op : (op -> bool) -> op -> bool
 val count_ops : op -> int
 
+(** The base tables [o] scans, sorted, each once. *)
+val tables : op -> string list
+
 (** The index-lookup access path of [Select (pred, TableScan {cols})]
     (paper Section 4; identity (2)'s [R ⋈p T]): the first conjunct of
     [pred] that equates a scan column [c] with a key expression, either

@@ -665,12 +665,6 @@ let create_with ?(config = default_config) (eng : Engine.t) : t =
 let create ?config (db : Storage.Database.t) : t =
   create_with ?config (Engine.create db)
 
-(* Recovery-then-serve: open the durable store (running crash
-   recovery) before any worker is spawned, so the first admitted query
-   already sees exactly the committed prefix. *)
-let create_durable ?config ~(dir : string) (catalog : Catalog.t) : t =
-  create_with ?config (Engine.open_db ~dir catalog)
-
 (* ------------------------------------------------------------------ *)
 (* Journaled mutations                                                *)
 (* ------------------------------------------------------------------ *)
@@ -688,11 +682,6 @@ let load_table (t : t) (table : string) (rows : Relalg.Value.t array list) : uni
 let append_row (t : t) (table : string) (row : Relalg.Value.t array) : unit =
   Engine.append_row t.eng table row;
   Stats.note_mutation t.stats
-
-let snapshot_now (t : t) : int =
-  let epoch = Engine.snapshot t.eng in
-  Stats.note_snapshot t.stats;
-  epoch
 
 (* Stop admission, drain the queue (every admitted request still gets
    its reply), and join every worker domain — including replacements

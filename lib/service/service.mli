@@ -94,14 +94,6 @@ val create : ?config:config -> Storage.Database.t -> t
 (** Wrap an existing engine (e.g. one opened durably elsewhere). *)
 val create_with : ?config:config -> Engine.t -> t
 
-(** Recovery-then-serve: open the durable store at [dir] (newest valid
-    snapshot + WAL replay + index rebuild) before any worker spawns,
-    so the first admitted query already sees exactly the committed
-    prefix.
-    @raise Engine.Errors.Error with phase [Storage] when the on-disk
-    state cannot be restored. *)
-val create_durable : ?config:config -> dir:string -> Catalog.t -> t
-
 (** Stop admission, drain the queue (every admitted request still gets
     its reply) and join every worker domain. *)
 val shutdown : t -> unit
@@ -140,12 +132,6 @@ val query_many : t -> string list -> Engine.batch
 
 val load_table : t -> string -> Relalg.Value.t array list -> unit
 val append_row : t -> string -> Relalg.Value.t array -> unit
-
-(** Write a snapshot of the current state and rotate the WAL; returns
-    the new epoch.
-    @raise Engine.Errors.Error with phase [Storage] on in-memory
-    services. *)
-val snapshot_now : t -> int
 
 (** {2 Introspection} *)
 

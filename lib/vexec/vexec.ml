@@ -1247,12 +1247,14 @@ and collected (v : vctx) sc (p : expr) (o : op) : env -> Batch.t Lazy.t * int ar
   let join =
     match (sc, o) with
     | Some s, Select (q, i) when is_true_const p && reads sc (Op.free_cols o) ->
-        bindings_join v s (metrics_node v o) q i
+        bindings_join v s ~charge_kept:false (metrics_node v o) q i
     | _ -> None
   in
   match join with
   | None ->
-      let plan = if is_true_const p then compile v sc o else compile_select v sc None p o in
+      let plan =
+        if is_true_const p then compile v sc o else compile_select v sc ~charge_kept:true None p o
+      in
       fun env -> collect schema env.nb (plan env)
   | Some join -> (
       let node = metrics_node v o in
@@ -1412,10 +1414,13 @@ and compile_scan (v : vctx) (table : string) (cols : Col.t list) : source =
 (* Filter: evaluate the predicate column-wise, keep the TRUE slots by
    compacting the selection vector; columns are untouched.  A filter
    that reads a parameter over a subtree that reads none starts from
-   that subtree's pairs with the bindings ([bindings_join]). *)
-and compile_select (v : vctx) sc node (p : expr) (i : op) : env -> source =
+   that subtree's pairs with the bindings ([bindings_join]); only a
+   filter outside the plan, which no [instrument] wraps, charges the
+   pairs it keeps there ([charge_kept]). *)
+and compile_select (v : vctx) sc ?(charge_kept = false) node (p : expr) (i : op) :
+    env -> source =
   let child, p =
-    match Option.bind sc (fun s -> bindings_join v s node p i) with
+    match Option.bind sc (fun s -> bindings_join v s ~charge_kept node p i) with
     | Some join -> ((fun env -> emit (fun () -> [ Lazy.force (join env).pairs ])), true_)
     | None ->
         let c = compile v sc i in
@@ -1449,8 +1454,11 @@ and compile_select (v : vctx) sc node (p : expr) (i : op) : env -> source =
    other conjunct then keeps the pairs it holds on, over columns
    gathered at exactly those pairs; probed pairs keep their binding
    runs.  [None] without an equality, or when [i] reads a parameter or
-   [p] holds a subquery. *)
-and bindings_join (v : vctx) (sc : scope) node (p : expr) (i : op) : (env -> joined) option =
+   [p] holds a subquery.  Each candidate is charged once: here when
+   the conjuncts drop it, and when they keep it too if [charge_kept];
+   otherwise the caller's [instrument] charges the kept pairs. *)
+and bindings_join (v : vctx) (sc : scope) ~charge_kept node (p : expr) (i : op) :
+    (env -> joined) option =
   let ischema = Op.schema i in
   let ppos = positions sc.pcols and lpos = positions (layout (Some sc) ischema) in
   let pairs (cols : Batch.col array) (rows : int array) (bid : int array Lazy.t) =
@@ -1488,9 +1496,10 @@ and bindings_join (v : vctx) (sc : scope) node (p : expr) (i : op) : (env -> joi
   in
   let filtered find residual env =
     let cols, candidates, runs, bid = find env in
-    Ex.account_rows v.ctx (Array.length candidates);
     (match node with Some nd -> Metrics.add_rows_in nd (Array.length candidates) | None -> ());
     let rows, runs, bid = List.fold_left (narrow env cols) (candidates, runs, bid) (conjuncts residual) in
+    Ex.account_rows v.ctx
+      (Array.length candidates - if charge_kept then 0 else Array.length rows);
     { n = Array.length rows; pairs = lazy (pairs cols rows bid); runs }
   in
   let index =

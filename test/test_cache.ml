@@ -386,6 +386,60 @@ let test_query_many_without_cache_degenerates () =
         (Engine.query eng sql).Exec.Executor.rows)
     shared_batch b.Engine.items
 
+(* Rows larger than the whole budget are returned but not kept: every
+   read re-materializes, and planted ids keep resolving. *)
+let test_query_many_cse_eviction () =
+  let eng = Engine.create (toy_db ()) in
+  Engine.enable_cache ~cse_bytes:1 eng;
+  let run_batch () =
+    let b = Engine.query_many eng shared_batch in
+    Alcotest.(check bool) "a CSE is still planted" true (b.Engine.cse_substitutions >= 2);
+    List.iter2
+      (fun sql (it : Engine.batch_item) ->
+        check_same_bag (sql ^ ": batch bag = sequential bag under eviction")
+          it.Engine.item_execution.Engine.result.Exec.Executor.rows
+          (Engine.query ~use_cache:false eng sql).Exec.Executor.rows;
+        (* the planted id resolves again after its rows were evicted *)
+        check_same_bag (sql ^ ": re-executing the planted plan")
+          (Engine.execute eng it.Engine.item_prepared).Engine.result.Exec.Executor.rows
+          it.Engine.item_execution.Engine.result.Exec.Executor.rows)
+      shared_batch b.Engine.items;
+    Option.get (Engine.cache_stats eng)
+  in
+  let s1 = run_batch () in
+  Alcotest.(check bool) "evictions counted" true (s1.Engine.cse_evictions > 0);
+  Alcotest.(check int) "nothing retained" 0 s1.Engine.cse_bytes;
+  Alcotest.(check bool) "ids stay interned" true (s1.Engine.cse_entries >= 1);
+  let s2 = run_batch () in
+  Alcotest.(check bool) "the next batch materializes again" true
+    (s2.Engine.cse_materializations > s1.Engine.cse_materializations)
+
+(* Two domains fetch one id at once: the subplan runs once, and the
+   waiter receives its rows as a hit. *)
+let test_cse_single_flight () =
+  let eng = Engine.create (toy_db ()) in
+  let store = Cache.Cse.create () in
+  let id = Cache.Cse.intern store (plan_of eng "select dept, sum(salary) from emp group by dept") in
+  let runs = Atomic.make 0 and running = Atomic.make false in
+  let exec plan =
+    Atomic.incr runs;
+    Atomic.set running true;
+    Unix.sleepf 0.1;
+    Exec.Executor.run (Exec.Executor.make_ctx (toy_db ())) plan
+  in
+  let fetch () = Cache.Cse.fetch store ~exec ~current_gen:(fun _ -> 0) id in
+  let d0 = Domain.spawn fetch in
+  while not (Atomic.get running) do
+    Domain.cpu_relax ()
+  done;
+  let d1 = Domain.spawn fetch in
+  let r0 = Domain.join d0 and r1 = Domain.join d1 in
+  Alcotest.(check int) "materialized once" 1 (Atomic.get runs);
+  check_same_bag "both readers get the rows" r0 r1;
+  let s = Cache.Plan_cache.stats store.Cache.Cse.rows in
+  Alcotest.(check int) "one miss" 1 s.Cache.Plan_cache.misses;
+  Alcotest.(check int) "the waiter counts as a hit" 1 s.Cache.Plan_cache.hits
+
 (* --- service wiring --------------------------------------------------- *)
 
 let test_service_cache_stats_surface () =
@@ -444,6 +498,8 @@ let suite =
       test_query_many_materializes_shared_subplan;
     Alcotest.test_case "query_many: generation bump between batches" `Quick
       test_query_many_generation_bump_between_batches;
+    Alcotest.test_case "query_many: CSE eviction" `Quick test_query_many_cse_eviction;
+    Alcotest.test_case "cse: single flight" `Quick test_cse_single_flight;
     Alcotest.test_case "query_many: without cache" `Quick
       test_query_many_without_cache_degenerates;
     Alcotest.test_case "service: cache stats surface" `Quick

@@ -1075,6 +1075,40 @@ let test_ndv_tracks_table_generation () =
   Alcotest.(check int) "ndv after reload" 4 (Optimizer.Stats.ndv stats "bag" "x");
   Alcotest.(check int) "row count after reload" 4 (Optimizer.Stats.row_count stats "bag")
 
+(* An index-probing Apply charges each probe candidate to the row
+   budget once, whether the filter is the inner itself or sits under a
+   Project.  The outer's 3 rows bind 1, 1, 2: each of the 2 distinct
+   bindings is charged as it is bound and probes emp's dept index, for
+   2 + 1 candidates, a Project above them produces those 3, and the
+   Apply joins 2 + 2 + 1 rows.  A budget one row above the single
+   count would trip on a double one. *)
+let test_apply_probe_rows_counted_once () =
+  let db = Support.toy_db () in
+  let p = Col.fresh "p" Value.TInt in
+  let outer =
+    ConstTable { cols = [ p ]; rows = List.map (fun k -> [| Value.Int k |]) [ 1; 1; 2 ] }
+  in
+  let probe () =
+    let scan, _, name, dept, _ = emp_scan () in
+    (Select (Cmp (Eq, ColRef dept, ColRef p), scan), name)
+  in
+  let plain = fst (probe ()) in
+  let projected =
+    let sel, name = probe () in
+    Project ([ { expr = ColRef name; out = Col.clone name } ], sel)
+  in
+  List.iter
+    (fun (label, right, above) ->
+      let single = 3 + 2 + 3 + 5 + above in
+      let budget = Exec.Budget.make ~max_rows:(single + 1) () in
+      let ctx = Exec.Executor.make_ctx ~budget db in
+      let o = Apply { kind = Inner; pred = true_; left = outer; right } in
+      (match Vexec.run ctx o with
+      | rows -> Alcotest.(check int) (label ^ ": joined rows") 5 (List.length rows)
+      | exception Exec.Budget.Exceeded _ -> Alcotest.failf "%s: the row budget tripped" label);
+      Alcotest.(check int) (label ^ ": rows processed") single ctx.Exec.Executor.rows_processed)
+    [ ("probed inner", plain, 0); ("projected probed inner", projected, 3) ]
+
 let suite =
   [ Alcotest.test_case "batch boundaries" `Quick test_batch_boundaries;
     Alcotest.test_case "join across batches" `Quick test_join_across_batches;
@@ -1109,5 +1143,7 @@ let suite =
     Alcotest.test_case "apply: set-oriented inners, SQL" `Quick test_apply_set_oriented_sql;
     Alcotest.test_case "key-less semi/anti joins" `Quick test_keyless_semi_anti;
     Alcotest.test_case "key-less anti join: s7 c265 at SF 0.05" `Quick test_keyless_anti_heap;
-    Alcotest.test_case "apply: probes during appends" `Quick test_probe_during_appends
+    Alcotest.test_case "apply: probes during appends" `Quick test_probe_during_appends;
+    Alcotest.test_case "apply: probe candidates counted once" `Quick
+      test_apply_probe_rows_counted_once
   ]
